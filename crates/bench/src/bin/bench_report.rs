@@ -28,7 +28,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use lad_bench::{csv_row, emit_json, figure_json, quick_mode, validate_json_target};
+use lad_bench::{
+    csv_row, emit_json, env_number, figure_json, flag_value, quick_mode, validate_json_target,
+};
 use lad_common::config::SystemConfig;
 use lad_common::json::JsonValue;
 use lad_energy::model::EnergyModel;
@@ -60,20 +62,14 @@ const PRE_PR_BASELINE: [(usize, &str, f64); 6] = [
 ];
 
 fn reps() -> usize {
-    let fallback = if quick_mode() { 1 } else { 3 };
-    std::env::var("LAD_BENCH_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(fallback)
+    env_number("LAD_BENCH_REPS")
+        .unwrap_or(if quick_mode() { 1 } else { 3 })
         .max(1)
 }
 
 fn sweep() -> Vec<(usize, usize)> {
-    let env_cores: Option<usize> = std::env::var("LAD_CORES").ok().and_then(|v| v.parse().ok());
-    let env_accesses: Option<usize> = std::env::var("LAD_ACCESSES")
-        .ok()
-        .and_then(|v| v.parse().ok());
-    match (env_cores, quick_mode()) {
+    let env_accesses = env_number("LAD_ACCESSES");
+    match (env_number("LAD_CORES"), quick_mode()) {
         (Some(cores), _) => vec![(cores, env_accesses.unwrap_or(1000))],
         (None, true) => vec![(8, env_accesses.unwrap_or(150))],
         (None, false) => WORKLOADS
@@ -85,11 +81,7 @@ fn sweep() -> Vec<(usize, usize)> {
 
 /// The value of `--threads <N>`, if present.
 fn threads_flag() -> Option<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|arg| arg == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|value| value.parse().ok())
+    flag_value("--threads").and_then(|value| value.parse().ok())
 }
 
 fn schemes() -> Vec<SchemeId> {

@@ -1,7 +1,7 @@
 //! Shared plumbing for the figure-regeneration binaries.
 //!
 //! Every table and figure of the paper's evaluation has a binary under
-//! `src/bin/` (see DESIGN.md §3 for the index).  The binaries print
+//! `src/bin/`, named after the figure it regenerates.  The binaries print
 //! machine-readable CSV rows plus a short human summary, so the series the
 //! paper plots can be regenerated directly:
 //!
@@ -40,19 +40,30 @@ pub fn quick_mode() -> bool {
     std::env::args().any(|arg| arg == "--quick")
 }
 
+/// The argument following the first `name` flag on the command line, if
+/// the flag is given.  Exits with status 2 when the flag is the last
+/// argument, with no value after it.
+pub fn flag_value(name: &str) -> Option<String> {
+    let mut args = std::env::args();
+    args.find(|arg| arg == name)?;
+    let Some(value) = args.next() else {
+        eprintln!("{name} requires a value");
+        std::process::exit(2);
+    };
+    Some(value)
+}
+
+/// The number in environment variable `name`; `None` when it is unset or
+/// not a number, so garbage falls back to the caller's default.
+pub fn env_number(name: &str) -> Option<usize> {
+    std::env::var(name)
+        .ok()
+        .and_then(|value| value.parse().ok())
+}
+
 /// The path given with `--json <path>`, if any.
 pub fn json_output_path() -> Option<PathBuf> {
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        if arg == "--json" {
-            let Some(path) = args.next() else {
-                eprintln!("--json requires a path argument");
-                std::process::exit(2);
-            };
-            return Some(PathBuf::from(path));
-        }
-    }
-    None
+    flag_value("--json").map(PathBuf::from)
 }
 
 /// Fails fast on an unusable `--json` target: a missing path argument or an
@@ -85,20 +96,12 @@ pub fn emit_json(value: &JsonValue) {
 
 /// Accesses per core used by the harness (override with `LAD_ACCESSES`).
 pub fn accesses_per_core() -> usize {
-    let fallback = if quick_mode() { 150 } else { 4000 };
-    std::env::var("LAD_ACCESSES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(fallback)
+    env_number("LAD_ACCESSES").unwrap_or(if quick_mode() { 150 } else { 4000 })
 }
 
 /// Number of cores simulated by the harness (override with `LAD_CORES`).
 pub fn num_cores() -> usize {
-    let fallback = if quick_mode() { 8 } else { 64 };
-    std::env::var("LAD_CORES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(fallback)
+    env_number("LAD_CORES").unwrap_or(if quick_mode() { 8 } else { 64 })
 }
 
 /// The system configuration used by the harness: the paper's Table 1 target,

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use lad_common::json::{Json, JsonValue};
+
 /// The MESI state of one cached copy of a line.
 ///
 /// The same enum is used for L1 cache lines and for LLC replicas: the paper
@@ -88,6 +90,20 @@ impl fmt::Display for MesiState {
             MesiState::Invalid => "I",
         };
         f.write_str(s)
+    }
+}
+
+/// A state travels as its single-letter rendering.
+impl Json for MesiState {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::from(self.to_string())
+    }
+
+    fn from_json(value: &JsonValue) -> Result<Self, String> {
+        value
+            .as_str()
+            .and_then(MesiState::parse)
+            .ok_or_else(|| "expected one of \"M\", \"E\", \"S\", \"I\"".to_string())
     }
 }
 

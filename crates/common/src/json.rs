@@ -1,10 +1,11 @@
-//! A small, dependency-free JSON document model with a serializer and a
-//! strict parser.
+//! A small, dependency-free JSON document model with a serializer, a
+//! strict parser and a typed codec.
 //!
 //! The experiment harness emits machine-readable reports (`--json` on every
-//! figure binary) and CI round-trips them through this parser, so the format
-//! must be produced and consumed without any external crate.  The model is
-//! deliberately minimal:
+//! figure binary), the experiment service speaks JSON on the wire and
+//! spills JSON cache entries and checkpoints, and CI round-trips all of it
+//! through this parser, so the format must be produced and consumed without
+//! any external crate.  The model is deliberately minimal:
 //!
 //! * objects preserve insertion order (serialization is byte-stable),
 //! * numbers are `f64` (every counter the harness emits fits losslessly in
@@ -12,10 +13,32 @@
 //!   round-trippable rendering),
 //! * parsing is strict RFC 8259: no trailing commas, no comments, no `NaN`.
 //!
+//! # The codec
+//!
+//! Every type with a JSON form implements [`Json`]: `to_json` builds the
+//! document, `from_json` rebuilds the value or names the first missing or
+//! mistyped field.  The trait covers the scalars, `String`, `Option<T>`
+//! (`None` is `null`), `Vec<T>` and 2- to 4-tuples (fixed-length arrays).
+//! Objects are read with [`field`] (or [`field_with`] when decoding needs
+//! context); flat structs get their codec from
+//! [`json_struct!`](crate::json_struct).  Numbers are `f64`, so words that
+//! may exceed 2^53 (RNG state, cache tags, line indices) travel as `"0x…"`
+//! strings through [`Hex`].
+//!
+//! # Byte stability
+//!
+//! Encoded documents are stored and compared as text: the experiment
+//! service seals cache entries and checkpoints with a digest of their
+//! pretty-printed body and quarantines files whose digest no longer
+//! matches, and clients compare served reports with local ones.  An encoder
+//! must therefore never change its key order, key names or number
+//! rendering except as a deliberate format change; golden tests pin the
+//! exact text.
+//!
 //! # Example
 //!
 //! ```
-//! use lad_common::json::JsonValue;
+//! use lad_common::json::{field, Json, JsonValue};
 //!
 //! let value = JsonValue::Object(vec![
 //!     ("scheme".to_string(), JsonValue::from("RT-3")),
@@ -23,7 +46,12 @@
 //! ]);
 //! let text = value.to_string();
 //! assert_eq!(text, r#"{"scheme":"RT-3","normalized_energy":0.85}"#);
-//! assert_eq!(JsonValue::parse(&text).unwrap(), value);
+//! let parsed = JsonValue::parse(&text).unwrap();
+//! assert_eq!(parsed, value);
+//! assert_eq!(field::<String>(&parsed, "scheme").unwrap(), "RT-3");
+//! assert_eq!(field::<f64>(&parsed, "normalized_energy").unwrap(), 0.85);
+//! assert!(field::<u64>(&parsed, "scheme").is_err());
+//! assert_eq!((3u64, Some(true)).to_json().to_string(), "[3,true]");
 //! ```
 
 use std::fmt;
@@ -300,6 +328,258 @@ impl fmt::Display for JsonValue {
         f.write_str(&out)
     }
 }
+
+// ----- typed codec ----------------------------------------------------------
+
+/// A type with a canonical JSON form (see the module docs).
+pub trait Json: Sized {
+    /// The value as a JSON document.
+    fn to_json(&self) -> JsonValue;
+
+    /// Rebuilds a value from [`Json::to_json`] output.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first missing or mistyped field.
+    fn from_json(value: &JsonValue) -> Result<Self, String>;
+}
+
+/// Reads field `name` of an object through its [`Json`] codec.
+///
+/// # Errors
+///
+/// Names the field when it is missing or does not decode.
+pub fn field<T: Json>(object: &JsonValue, name: &str) -> Result<T, String> {
+    field_with(object, name, T::from_json)
+}
+
+/// Reads field `name` of an object with an explicit decoder — for values
+/// whose decoding needs context the [`Json`] trait cannot carry.
+///
+/// # Errors
+///
+/// Names the field when it is missing or `decode` rejects it.
+pub fn field_with<'a, T>(
+    object: &'a JsonValue,
+    name: &str,
+    decode: impl FnOnce(&'a JsonValue) -> Result<T, String>,
+) -> Result<T, String> {
+    let value = object
+        .get(name)
+        .ok_or_else(|| format!("missing field {name:?}"))?;
+    decode(value).map_err(|err| format!("field {name:?}: {err}"))
+}
+
+/// Decodes every element of an array with `decode`.
+///
+/// # Errors
+///
+/// Fails when `value` is not an array, naming the index of the first
+/// element `decode` rejects.
+pub fn items<'a, T>(
+    value: &'a JsonValue,
+    mut decode: impl FnMut(&'a JsonValue) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let items = value.as_array().ok_or("expected an array")?;
+    items
+        .iter()
+        .enumerate()
+        .map(|(i, item)| decode(item).map_err(|err| format!("element {i}: {err}")))
+        .collect()
+}
+
+/// The elements of a fixed-length array.
+///
+/// # Errors
+///
+/// Fails unless `value` is an array of exactly `N` elements.
+pub fn elements<const N: usize>(value: &JsonValue) -> Result<&[JsonValue; N], String> {
+    value
+        .as_array()
+        .and_then(|items| items.try_into().ok())
+        .ok_or_else(|| format!("expected an array of {N} elements"))
+}
+
+/// Implements [`Json`] for a struct with named fields as a JSON object with
+/// one key per listed field, in the listed order, and gives the struct
+/// inherent `to_json`/`from_json` methods that callers can use without
+/// importing the trait.  A key defaults to the field name; `field = "Key"`
+/// renames it.
+///
+/// ```
+/// use lad_common::json::JsonValue;
+///
+/// #[derive(Debug, PartialEq)]
+/// pub struct Point {
+///     x: u64,
+///     label: String,
+/// }
+/// lad_common::json_struct!(Point { x = "X", label });
+///
+/// let point = Point { x: 3, label: "a".into() };
+/// assert_eq!(point.to_json().to_string(), r#"{"X":3,"label":"a"}"#);
+/// assert_eq!(Point::from_json(&point.to_json()), Ok(point));
+/// assert!(Point::from_json(&JsonValue::Null).is_err());
+/// ```
+#[macro_export]
+macro_rules! json_struct {
+    (@key $field:ident) => {
+        stringify!($field)
+    };
+    (@key $field:ident $key:literal) => {
+        $key
+    };
+    ($type:ident { $($field:ident $(= $key:literal)?),+ $(,)? }) => {
+        impl $type {
+            /// The value as a JSON object (see [`lad_common::json`]).
+            pub fn to_json(&self) -> $crate::json::JsonValue {
+                $crate::json::JsonValue::Object(vec![$((
+                    $crate::json_struct!(@key $field $($key)?).to_string(),
+                    $crate::json::Json::to_json(&self.$field),
+                )),+])
+            }
+
+            /// Rebuilds the value from `to_json` output.
+            ///
+            /// # Errors
+            ///
+            /// Names the first missing or mistyped field.
+            pub fn from_json(value: &$crate::json::JsonValue) -> Result<Self, String> {
+                Ok($type {
+                    $($field: $crate::json::field(value, $crate::json_struct!(@key $field $($key)?))?,)+
+                })
+            }
+        }
+
+        impl $crate::json::Json for $type {
+            fn to_json(&self) -> $crate::json::JsonValue {
+                $type::to_json(self)
+            }
+
+            fn from_json(value: &$crate::json::JsonValue) -> Result<Self, String> {
+                $type::from_json(value)
+            }
+        }
+    };
+}
+
+/// A full-range `u64` encoded as a `"0x…"` hex string (JSON numbers are
+/// `f64` and would silently lose the bits above 2^53).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Hex(pub u64);
+
+impl Json for Hex {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::String(format!("{:#x}", self.0))
+    }
+
+    fn from_json(value: &JsonValue) -> Result<Self, String> {
+        let text = value.as_str().ok_or("expected a hex string")?;
+        let digits = text
+            .strip_prefix("0x")
+            .ok_or_else(|| format!("hex word {text:?} must start with 0x"))?;
+        u64::from_str_radix(digits, 16)
+            .map(Hex)
+            .map_err(|err| format!("hex word {text:?}: {err}"))
+    }
+}
+
+macro_rules! unsigned_json {
+    ($($type:ty),+) => {$(
+        impl Json for $type {
+            fn to_json(&self) -> JsonValue {
+                JsonValue::Number(*self as f64)
+            }
+
+            fn from_json(value: &JsonValue) -> Result<Self, String> {
+                value
+                    .as_u64()
+                    .and_then(|n| <$type>::try_from(n).ok())
+                    .ok_or_else(|| format!("expected a {}", stringify!($type)))
+            }
+        }
+    )+};
+}
+
+unsigned_json!(u64, u32, u16, usize);
+
+impl Json for f64 {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::Number(*self)
+    }
+
+    fn from_json(value: &JsonValue) -> Result<Self, String> {
+        value
+            .as_f64()
+            .ok_or_else(|| "expected a number".to_string())
+    }
+}
+
+impl Json for bool {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::Bool(*self)
+    }
+
+    fn from_json(value: &JsonValue) -> Result<Self, String> {
+        value.as_bool().ok_or_else(|| "expected a bool".to_string())
+    }
+}
+
+impl Json for String {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::String(self.clone())
+    }
+
+    fn from_json(value: &JsonValue) -> Result<Self, String> {
+        value
+            .as_str()
+            .map(str::to_string)
+            .ok_or_else(|| "expected a string".to_string())
+    }
+}
+
+impl<T: Json> Json for Option<T> {
+    fn to_json(&self) -> JsonValue {
+        self.as_ref().map_or(JsonValue::Null, T::to_json)
+    }
+
+    fn from_json(value: &JsonValue) -> Result<Self, String> {
+        match value {
+            JsonValue::Null => Ok(None),
+            value => T::from_json(value).map(Some),
+        }
+    }
+}
+
+impl<T: Json> Json for Vec<T> {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::Array(self.iter().map(T::to_json).collect())
+    }
+
+    fn from_json(value: &JsonValue) -> Result<Self, String> {
+        items(value, T::from_json)
+    }
+}
+
+macro_rules! tuple_json {
+    ($len:literal: $($name:ident $var:ident),+) => {
+        impl<$($name: Json),+> Json for ($($name,)+) {
+            fn to_json(&self) -> JsonValue {
+                let ($($var,)+) = self;
+                JsonValue::Array(vec![$($var.to_json()),+])
+            }
+
+            fn from_json(value: &JsonValue) -> Result<Self, String> {
+                let [$($var),+] = elements::<$len>(value)?;
+                Ok(($($name::from_json($var)?,)+))
+            }
+        }
+    };
+}
+
+tuple_json!(2: A a, B b);
+tuple_json!(3: A a, B b, C c);
+tuple_json!(4: A a, B b, C c, D d);
 
 fn newline_indent(out: &mut String, level: usize) {
     out.push('\n');
@@ -739,6 +1019,28 @@ mod tests {
             JsonValue::from(1234567890123u64).to_string(),
             "1234567890123"
         );
+    }
+
+    #[test]
+    fn codec_roundtrips_and_names_bad_fields() {
+        for word in [0u64, 1 << 53, u64::MAX] {
+            assert_eq!(Hex::from_json(&Hex(word).to_json()), Ok(Hex(word)));
+        }
+        let value = (7u32, Some(Hex(u64::MAX)), vec![true], None::<f64>);
+        assert_eq!(
+            value.to_json().to_string(),
+            r#"[7,"0xffffffffffffffff",[true],null]"#
+        );
+        assert_eq!(Json::from_json(&value.to_json()), Ok(value));
+        let object = JsonValue::object([("n", JsonValue::from(-1.0)), ("s", JsonValue::from("x"))]);
+        assert_eq!(field::<String>(&object, "s"), Ok("x".to_string()));
+        let missing = field::<u64>(&object, "absent").unwrap_err();
+        assert!(missing.contains("\"absent\""), "{missing}");
+        let mistyped = field::<u64>(&object, "n").unwrap_err();
+        assert!(mistyped.contains("\"n\""), "{mistyped}");
+        assert!(u32::from_json(&JsonValue::from(1u64 << 32)).is_err());
+        assert!(<(u64, u64)>::from_json(&JsonValue::from(vec![1.0])).is_err());
+        assert!(Hex::from_json(&JsonValue::from("ff")).is_err());
     }
 
     #[test]

@@ -7,6 +7,8 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
+use crate::json::{Hex, Json, JsonValue};
+
 /// Identifier of a core / tile in the multicore.
 ///
 /// Cores are numbered `0..num_cores` in row-major order of the 2-D mesh
@@ -53,6 +55,16 @@ impl fmt::Display for CoreId {
 impl From<u16> for CoreId {
     fn from(value: u16) -> Self {
         CoreId(value)
+    }
+}
+
+impl Json for CoreId {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::from(self.index())
+    }
+
+    fn from_json(value: &JsonValue) -> Result<Self, String> {
+        u16::from_json(value).map(CoreId::from)
     }
 }
 
@@ -161,6 +173,17 @@ impl fmt::Display for CacheLine {
     }
 }
 
+/// Line indices span the full `u64` range, so they travel as [`Hex`].
+impl Json for CacheLine {
+    fn to_json(&self) -> JsonValue {
+        Hex(self.index()).to_json()
+    }
+
+    fn from_json(value: &JsonValue) -> Result<Self, String> {
+        Hex::from_json(value).map(|Hex(index)| CacheLine::from_index(index))
+    }
+}
+
 /// A simulation time stamp or duration, measured in core clock cycles.
 ///
 /// `Cycle` supports saturating-free addition (simulations never get close to
@@ -248,6 +271,16 @@ impl From<u64> for Cycle {
     }
 }
 
+impl Json for Cycle {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::from(self.value())
+    }
+
+    fn from_json(value: &JsonValue) -> Result<Self, String> {
+        u64::from_json(value).map(Cycle::new)
+    }
+}
+
 /// The kind of memory operation issued by a core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemOp {
@@ -321,11 +354,33 @@ impl DataClass {
             DataClass::SharedReadWrite => "Shared Read-Write",
         }
     }
+
+    /// Parses a [`DataClass::label`].
+    ///
+    /// # Errors
+    ///
+    /// Names the label when no class has it.
+    pub fn parse(label: &str) -> Result<DataClass, String> {
+        DataClass::ALL
+            .into_iter()
+            .find(|class| class.label() == label)
+            .ok_or_else(|| format!("unknown data class {label:?}"))
+    }
 }
 
 impl fmt::Display for DataClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label())
+    }
+}
+
+impl Json for DataClass {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::from(self.label())
+    }
+
+    fn from_json(value: &JsonValue) -> Result<Self, String> {
+        DataClass::parse(value.as_str().ok_or("expected a data-class label")?)
     }
 }
 

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use lad_common::json::{Json, JsonValue};
+
 use crate::placement::PlacementPolicy;
 
 /// The five LLC management schemes of the evaluation.
@@ -205,6 +207,18 @@ fn intern_label(label: &str) -> &'static str {
             table.insert(leaked);
             leaked
         }
+    }
+}
+
+/// An id travels as its label; see [`SchemeId::parse`].
+impl Json for SchemeId {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::from(self.label())
+    }
+
+    fn from_json(value: &JsonValue) -> Result<Self, String> {
+        let label = value.as_str().ok_or("expected a scheme label")?;
+        Ok(SchemeId::parse(label))
     }
 }
 

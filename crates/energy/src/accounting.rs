@@ -3,6 +3,8 @@
 use std::fmt;
 use std::ops::{Add, AddAssign};
 
+use lad_common::json::{Json, JsonValue};
+
 /// The memory-system components whose dynamic energy the paper reports
 /// separately in Figure 6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -46,6 +48,18 @@ impl Component {
             Component::NetworkLink => "Network Link",
             Component::Dram => "DRAM",
         }
+    }
+
+    /// Parses a [`Component::label`].
+    ///
+    /// # Errors
+    ///
+    /// Names the label when no component has it.
+    pub fn parse(label: &str) -> Result<Component, String> {
+        Component::ALL
+            .into_iter()
+            .find(|component| component.label() == label)
+            .ok_or_else(|| format!("unknown energy component {label:?}"))
     }
 
     fn index(self) -> usize {
@@ -145,6 +159,33 @@ impl Add for EnergyAccounting {
 impl AddAssign for EnergyAccounting {
     fn add_assign(&mut self, rhs: EnergyAccounting) {
         self.merge(&rhs);
+    }
+}
+
+/// The breakdown as an object from component label to picojoules, in
+/// Figure 6 legend order.
+impl Json for EnergyAccounting {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::Object(
+            self.iter()
+                .map(|(component, pj)| (component.label().to_string(), pj.to_json()))
+                .collect(),
+        )
+    }
+
+    fn from_json(value: &JsonValue) -> Result<Self, String> {
+        let pairs = value
+            .as_object()
+            .ok_or("expected an energy breakdown object")?;
+        let mut energy = EnergyAccounting::new();
+        for (label, pj) in pairs {
+            let pj = f64::from_json(pj)
+                .ok()
+                .filter(|pj| *pj >= 0.0)
+                .ok_or_else(|| format!("energy of {label:?} must be a non-negative number"))?;
+            energy.record(Component::parse(label)?, pj);
+        }
+        Ok(energy)
     }
 }
 

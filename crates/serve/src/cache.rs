@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 use lad_common::fault::{FaultInjector, FaultSite};
-use lad_common::json::JsonValue;
+use lad_common::json::{field, JsonValue};
 use lad_obs::{Counter, MetricsRegistry};
 use lad_sim::metrics::SimulationReport;
 
@@ -53,31 +53,14 @@ impl CacheKey {
             .collect();
         format!("{}-{}-{}", self.trace, self.config, scheme)
     }
-
-    /// The JSON form stored in spill files and status frames.
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("trace", JsonValue::from(self.trace.as_str())),
-            ("config", JsonValue::from(self.config.as_str())),
-            ("scheme", JsonValue::from(self.scheme.as_str())),
-        ])
-    }
-
-    fn from_json(value: &JsonValue) -> Result<CacheKey, String> {
-        let field = |name: &str| {
-            value
-                .get(name)
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("cache key is missing {name:?}"))
-        };
-        Ok(CacheKey {
-            trace: field("trace")?,
-            config: field("config")?,
-            scheme: field("scheme")?,
-        })
-    }
 }
+
+// The JSON form stored in spill files, checkpoints and status frames.
+lad_common::json_struct!(CacheKey {
+    trace,
+    config,
+    scheme
+});
 
 impl fmt::Display for CacheKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -285,14 +268,9 @@ fn load_entry(path: &Path) -> Result<Option<(CacheKey, SimulationReport)>, ()> {
         LoadOutcome::Missing => return Ok(None),
         LoadOutcome::Quarantined(_) => return Err(()),
     };
-    let parse = || -> Option<(CacheKey, SimulationReport)> {
-        let key = CacheKey::from_json(body.get("key")?).ok()?;
-        let report = SimulationReport::from_json(body.get("report")?).ok()?;
-        Some((key, report))
-    };
-    match parse() {
-        Some(entry) => Ok(Some(entry)),
-        None => {
+    match (field(&body, "key"), field(&body, "report")) {
+        (Ok(key), Ok(report)) => Ok(Some((key, report))),
+        _ => {
             // Digest-valid but schema-foreign: quarantine it too.
             durable::quarantine_file(path);
             Err(())

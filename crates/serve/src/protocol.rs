@@ -27,7 +27,7 @@
 use std::fmt;
 use std::path::PathBuf;
 
-use lad_common::json::JsonValue;
+use lad_common::json::{field, Json, JsonValue};
 use lad_sim::experiment::ReplayError;
 
 /// Version tag of the wire protocol, reported by the `stats` verb.
@@ -237,7 +237,7 @@ impl TraceSpec {
             ]),
             TraceSpec::Stored { digest } => JsonValue::object([
                 ("kind", JsonValue::from("stored")),
-                ("digest", JsonValue::from(digest.as_str())),
+                ("digest", digest.to_json()),
             ]),
             TraceSpec::Builtin {
                 benchmark,
@@ -246,73 +246,45 @@ impl TraceSpec {
                 seed,
             } => JsonValue::object([
                 ("kind", JsonValue::from("builtin")),
-                ("benchmark", JsonValue::from(benchmark.as_str())),
-                ("cores", JsonValue::from(*cores as u64)),
-                (
-                    "accesses_per_core",
-                    JsonValue::from(*accesses_per_core as u64),
-                ),
-                ("seed", JsonValue::from(*seed)),
+                ("benchmark", benchmark.to_json()),
+                ("cores", cores.to_json()),
+                ("accesses_per_core", accesses_per_core.to_json()),
+                ("seed", seed.to_json()),
             ]),
         }
     }
+}
 
-    /// Parses the JSON form back into a spec.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::BadRequest`] naming the missing or ill-typed field.
-    pub fn from_json(value: &JsonValue) -> Result<TraceSpec, ServeError> {
-        let kind = value
-            .get("kind")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| bad("trace spec needs a \"kind\" string"))?;
-        match kind {
-            "file" => {
-                let path = value
-                    .get("path")
-                    .and_then(JsonValue::as_str)
-                    .ok_or_else(|| bad("file trace spec needs a \"path\" string"))?;
-                Ok(TraceSpec::File {
-                    path: PathBuf::from(path),
-                })
-            }
-            "stored" => {
-                let digest = value
-                    .get("digest")
-                    .and_then(JsonValue::as_str)
-                    .ok_or_else(|| bad("stored trace spec needs a \"digest\" string"))?;
-                Ok(TraceSpec::Stored {
-                    digest: digest.to_string(),
-                })
-            }
+impl Json for TraceSpec {
+    fn to_json(&self) -> JsonValue {
+        TraceSpec::to_json(self)
+    }
+
+    fn from_json(value: &JsonValue) -> Result<TraceSpec, String> {
+        match field::<String>(value, "kind")?.as_str() {
+            "file" => Ok(TraceSpec::File {
+                path: PathBuf::from(field::<String>(value, "path")?),
+            }),
+            "stored" => Ok(TraceSpec::Stored {
+                digest: field(value, "digest")?,
+            }),
             "builtin" => {
-                let benchmark = value
-                    .get("benchmark")
-                    .and_then(JsonValue::as_str)
-                    .ok_or_else(|| bad("builtin trace spec needs a \"benchmark\" string"))?;
-                let cores = value
-                    .get("cores")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or_else(|| bad("builtin trace spec needs a \"cores\" count"))?;
-                let accesses = value
-                    .get("accesses_per_core")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or_else(|| bad("builtin trace spec needs \"accesses_per_core\""))?;
-                let seed = value.get("seed").and_then(JsonValue::as_u64).unwrap_or(0);
-                if cores == 0 || accesses == 0 {
-                    return Err(bad("builtin trace spec needs non-zero cores and accesses"));
+                let benchmark = field(value, "benchmark")?;
+                let cores = field(value, "cores")?;
+                let accesses_per_core = field(value, "accesses_per_core")?;
+                if cores == 0 || accesses_per_core == 0 {
+                    return Err("builtin trace spec needs non-zero cores and accesses".to_string());
                 }
                 Ok(TraceSpec::Builtin {
-                    benchmark: benchmark.to_string(),
-                    cores: cores as usize,
-                    accesses_per_core: accesses as usize,
-                    seed,
+                    benchmark,
+                    cores,
+                    accesses_per_core,
+                    seed: field(value, "seed").unwrap_or(0),
                 })
             }
-            other => Err(bad(&format!(
+            other => Err(format!(
                 "trace spec kind must be \"file\", \"stored\" or \"builtin\", got {other:?}"
-            ))),
+            )),
         }
     }
 }
@@ -379,15 +351,7 @@ impl JobSpec {
     pub fn to_json(&self) -> JsonValue {
         JsonValue::object([
             ("trace", self.trace.to_json()),
-            (
-                "schemes",
-                JsonValue::Array(
-                    self.schemes
-                        .iter()
-                        .map(|s| JsonValue::from(s.as_str()))
-                        .collect(),
-                ),
-            ),
+            ("schemes", self.schemes.to_json()),
             ("system", JsonValue::from(self.system.label())),
         ])
     }
@@ -399,31 +363,20 @@ impl JobSpec {
     /// [`ServeError::BadRequest`] naming the missing or ill-typed field,
     /// including duplicate scheme labels (each cell must be unique).
     pub fn from_json(value: &JsonValue) -> Result<JobSpec, ServeError> {
-        let trace = TraceSpec::from_json(
-            value
-                .get("trace")
-                .ok_or_else(|| bad("job needs a \"trace\" spec"))?,
-        )?;
-        let schemes_json = value
-            .get("schemes")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| bad("job needs a \"schemes\" array"))?;
-        if schemes_json.is_empty() {
+        let trace = field(value, "trace").map_err(ServeError::BadRequest)?;
+        let schemes: Vec<String> = field(value, "schemes").map_err(ServeError::BadRequest)?;
+        if schemes.is_empty() {
             return Err(bad("job needs at least one scheme"));
         }
-        let mut schemes = Vec::with_capacity(schemes_json.len());
-        for scheme in schemes_json {
-            let label = scheme
-                .as_str()
-                .ok_or_else(|| bad("scheme labels must be strings"))?;
-            if schemes.iter().any(|s: &String| s == label) {
+        for (i, label) in schemes.iter().enumerate() {
+            if schemes[..i].contains(label) {
                 return Err(bad(&format!("scheme {label:?} listed twice")));
             }
-            schemes.push(label.to_string());
         }
-        let system = match value.get("system").and_then(JsonValue::as_str) {
-            Some(label) => SystemPreset::parse(label)?,
-            None => SystemPreset::Paper,
+        // An absent (or non-string) preset means the paper's system.
+        let system = match field::<String>(value, "system") {
+            Ok(label) => SystemPreset::parse(&label)?,
+            Err(_) => SystemPreset::Paper,
         };
         Ok(JobSpec {
             trace,

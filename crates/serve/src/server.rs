@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 
 use lad_common::config::SystemConfig;
 use lad_common::fault::{FaultInjector, FaultSite, FaultyRead, FaultyWrite};
-use lad_common::json::JsonValue;
+use lad_common::json::{field_with, JsonValue};
 use lad_energy::model::EnergyModel;
 use lad_obs::{Counter, Gauge, LatencyHistogram, MetricSample, MetricsRegistry, SampleValue};
 use lad_replication::policy::SchemeRegistry;
@@ -573,7 +573,6 @@ fn read_frame(shared: &Shared, reader: &mut impl BufRead, max_bytes: usize) -> O
     let mut line = Vec::new();
     let reap = || {
         shared.metrics.reaped.inc();
-        lad_obs::global_tracer().emit("reap", "slow or oversized peer dropped mid-frame");
         None
     };
     loop {
@@ -744,10 +743,8 @@ fn resolve_trace(shared: &Shared, spec: &TraceSpec) -> Result<ResolvedTrace, Ser
             accesses_per_core,
             seed,
         } => {
-            let known = Benchmark::ALL
-                .iter()
-                .find(|b| b.label() == benchmark)
-                .ok_or_else(|| ServeError::UnknownBenchmark(benchmark.clone()))?;
+            let known = Benchmark::parse(benchmark)
+                .map_err(|_| ServeError::UnknownBenchmark(benchmark.clone()))?;
             // Generation is deterministic from the spec, so a spec
             // fingerprint is content-equivalent as a cache key without
             // materializing the trace at submit time.
@@ -1411,10 +1408,7 @@ fn open_source(shared: &Shared, spec: &TraceSpec) -> Result<Box<dyn TraceSource>
             accesses_per_core,
             seed,
         } => {
-            let known = Benchmark::ALL
-                .iter()
-                .find(|b| b.label() == benchmark)
-                .ok_or_else(|| format!("unknown builtin benchmark {benchmark:?}"))?;
+            let known = Benchmark::parse(benchmark)?;
             Ok(Box::new(GeneratorSource::new(
                 TraceGenerator::new(known.profile()),
                 *cores,
@@ -1463,9 +1457,6 @@ impl RunObserver for CellObserver<'_> {
 }
 
 fn run_cell(shared: &Shared, item: &WorkItem) -> Result<CellOutcome, String> {
-    // The span's open/close events land in this worker's ring buffer, so
-    // a post-mortem drain answers "what was this worker doing".
-    let _span = lad_obs::global_tracer().span("execute_cell", &item.key.to_string());
     // A seeded plan can panic a worker cell here to prove the
     // catch_unwind isolation holds (the panic fails this cell and nothing
     // else).
@@ -1567,16 +1558,10 @@ fn load_checkpoint(
         note_quarantine();
         return None;
     };
-    let matches = |field: &str, expected: &str| {
-        stored.get(field).and_then(JsonValue::as_str) == Some(expected)
-    };
-    if !(matches("trace", &key.trace)
-        && matches("config", &key.config)
-        && matches("scheme", &key.scheme))
-    {
+    if CacheKey::from_json(stored).ok().as_ref() != Some(key) {
         return None;
     }
-    let checkpoint = EngineCheckpoint::from_json(body.get("checkpoint")?).ok()?;
+    let checkpoint = field_with(&body, "checkpoint", EngineCheckpoint::from_json).ok()?;
     // `resume_source` asserts these; a stale spill must fall back to a
     // fresh run instead of panicking the worker.
     if checkpoint.benchmark != spec.benchmark

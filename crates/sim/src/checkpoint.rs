@@ -13,8 +13,8 @@
 //!   from the (deterministic) source.
 //!
 //! Full-range `u64` values (RNG state, cache tags, line indices) are encoded
-//! as `"0x…"` hex strings: [`JsonValue`] numbers are `f64` and would
-//! silently lose bits above 2^53.
+//! as `"0x…"` hex strings ([`Hex`]): [`JsonValue`] numbers are `f64` and
+//! would silently lose bits above 2^53.
 //!
 //! [`EngineCheckpoint::from_json`] reports *structural* problems (missing or
 //! mistyped fields) as errors.  *Semantic* invariant violations — sharer
@@ -28,10 +28,10 @@ use lad_cache::CacheState;
 use lad_coherence::ackwise::AckwiseSharers;
 use lad_coherence::directory::DirectoryEntry;
 use lad_coherence::mesi::MesiState;
-use lad_common::json::JsonValue;
+use lad_common::json::{elements, field, field_with, items, Hex, Json, JsonValue};
 use lad_common::types::{CacheLine, CoreId, Cycle, DataClass};
 use lad_dram::DramControllerState;
-use lad_energy::accounting::{Component, EnergyAccounting};
+use lad_energy::accounting::EnergyAccounting;
 use lad_noc::{LinkState, NetworkState};
 use lad_replication::classifier::{
     ClassifierKind, LocalityClassifier, ReplicationMode, TrackedCore,
@@ -109,125 +109,47 @@ pub struct EngineCheckpoint {
     pub consumed: Vec<u64>,
 }
 
-fn hex(value: u64) -> JsonValue {
-    JsonValue::String(format!("{value:#x}"))
-}
-
-fn parse_hex(value: &JsonValue, what: &str) -> Result<u64, String> {
-    let text = value
-        .as_str()
-        .ok_or_else(|| format!("{what} must be a hex string"))?;
-    let digits = text
-        .strip_prefix("0x")
-        .ok_or_else(|| format!("{what} must start with 0x"))?;
-    u64::from_str_radix(digits, 16).map_err(|error| format!("{what}: {error}"))
-}
-
-fn u64_field(value: &JsonValue, name: &str) -> Result<u64, String> {
-    value
-        .get(name)
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| format!("checkpoint is missing numeric field {name:?}"))
-}
-
-fn str_field(value: &JsonValue, name: &str) -> Result<String, String> {
-    value
-        .get(name)
-        .and_then(JsonValue::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("checkpoint is missing string field {name:?}"))
-}
-
-fn array_field<'a>(value: &'a JsonValue, name: &str) -> Result<&'a [JsonValue], String> {
-    value
-        .get(name)
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| format!("checkpoint is missing array field {name:?}"))
-}
-
-fn bool_field(value: &JsonValue, name: &str) -> Result<bool, String> {
-    value
-        .get(name)
-        .and_then(JsonValue::as_bool)
-        .ok_or_else(|| format!("checkpoint is missing boolean field {name:?}"))
-}
-
-fn core_from(value: &JsonValue, what: &str) -> Result<CoreId, String> {
-    let index = value
-        .as_u64()
-        .ok_or_else(|| format!("{what} must be a core index"))?;
-    Ok(CoreId::new(index as usize))
-}
-
-fn mesi_from(value: &JsonValue, what: &str) -> Result<MesiState, String> {
-    value
-        .as_str()
-        .and_then(MesiState::parse)
-        .ok_or_else(|| format!("{what} must be one of \"M\", \"E\", \"S\", \"I\""))
-}
-
-fn class_from(value: &JsonValue, what: &str) -> Result<DataClass, String> {
-    let label = value
-        .as_str()
-        .ok_or_else(|| format!("{what} must be a data-class label"))?;
-    DataClass::ALL
-        .iter()
-        .copied()
-        .find(|class| class.label() == label)
-        .ok_or_else(|| format!("{what}: unknown data class {label:?}"))
-}
-
 fn cache_to_json<V>(state: &CacheState<V>, encode: impl Fn(&V) -> JsonValue) -> JsonValue {
-    let slots: Vec<JsonValue> = state
+    let slots = state
         .slots
         .iter()
         .map(|(slot, tag, stamp, value)| {
             JsonValue::Array(vec![
-                JsonValue::from(*slot),
-                hex(*tag),
-                JsonValue::from(*stamp),
+                slot.to_json(),
+                Hex(*tag).to_json(),
+                stamp.to_json(),
                 encode(value),
             ])
         })
         .collect();
     JsonValue::object([
-        ("clock", JsonValue::from(state.clock)),
-        ("hits", JsonValue::from(state.hits)),
-        ("misses", JsonValue::from(state.misses)),
-        ("evictions", JsonValue::from(state.evictions)),
+        ("clock", state.clock.to_json()),
+        ("hits", state.hits.to_json()),
+        ("misses", state.misses.to_json()),
+        ("evictions", state.evictions.to_json()),
         ("slots", JsonValue::Array(slots)),
     ])
 }
 
 fn cache_from_json<V>(
     value: &JsonValue,
-    what: &str,
-    decode: impl Fn(&JsonValue, &str) -> Result<V, String>,
+    decode: impl Fn(&JsonValue) -> Result<V, String>,
 ) -> Result<CacheState<V>, String> {
-    let mut slots = Vec::new();
-    for (i, entry) in array_field(value, "slots")?.iter().enumerate() {
-        let quad = entry.as_array().filter(|q| q.len() == 4);
-        let Some([slot, tag, stamp, payload]) = quad else {
-            return Err(format!(
-                "{what} slot {i} must be a [slot, tag, stamp, value] quad"
-            ));
-        };
-        let slot = slot
-            .as_u64()
-            .ok_or_else(|| format!("{what} slot {i}: slot index must be a number"))?;
-        let tag = parse_hex(tag, &format!("{what} slot {i} tag"))?;
-        let stamp = stamp
-            .as_u64()
-            .ok_or_else(|| format!("{what} slot {i}: stamp must be a number"))?;
-        let payload = decode(payload, &format!("{what} slot {i}"))?;
-        slots.push((slot as usize, tag, stamp, payload));
-    }
+    let slot_from_json = |slot: &JsonValue| {
+        let [index, tag, stamp, payload] = elements(slot)?;
+        Ok((
+            usize::from_json(index)?,
+            Hex::from_json(tag)?.0,
+            u64::from_json(stamp)?,
+            decode(payload)?,
+        ))
+    };
     Ok(CacheState {
-        slots,
-        clock: u64_field(value, "clock")?,
-        hits: u64_field(value, "hits")?,
-        misses: u64_field(value, "misses")?,
-        evictions: u64_field(value, "evictions")?,
+        slots: field_with(value, "slots", |slots| items(slots, slot_from_json))?,
+        clock: field(value, "clock")?,
+        hits: field(value, "hits")?,
+        misses: field(value, "misses")?,
+        evictions: field(value, "evictions")?,
     })
 }
 
@@ -235,186 +157,108 @@ fn llc_entry_to_json(entry: &LlcEntry) -> JsonValue {
     match entry {
         LlcEntry::Home(home) => {
             let sharers = home.directory.sharers();
-            let tracked: Vec<JsonValue> = sharers
-                .tracked()
-                .iter()
-                .map(|core| JsonValue::from(core.index()))
-                .collect();
-            let classifier: Vec<JsonValue> = home
+            let tracked = sharers.tracked().iter().map(Json::to_json).collect();
+            let classifier = home
                 .classifier
                 .snapshot()
                 .iter()
-                .map(|t| {
-                    JsonValue::Array(vec![
-                        JsonValue::from(t.core.index()),
-                        JsonValue::from(t.mode.allows_replica()),
-                        JsonValue::from(t.home_reuse),
-                        JsonValue::from(t.active),
-                    ])
-                })
+                .map(|t| (t.core, t.mode.allows_replica(), t.home_reuse, t.active).to_json())
                 .collect();
             JsonValue::object([
                 ("kind", JsonValue::from("home")),
-                ("dirty", JsonValue::from(home.dirty)),
-                (
-                    "owner",
-                    home.directory
-                        .owner()
-                        .map_or(JsonValue::Null, |core| JsonValue::from(core.index())),
-                ),
-                ("max_pointers", JsonValue::from(sharers.max_pointers())),
+                ("dirty", home.dirty.to_json()),
+                ("owner", home.directory.owner().to_json()),
+                ("max_pointers", sharers.max_pointers().to_json()),
                 ("tracked", JsonValue::Array(tracked)),
-                ("global", JsonValue::from(sharers.is_global())),
-                ("sharer_count", JsonValue::from(sharers.count())),
+                ("global", sharers.is_global().to_json()),
+                ("sharer_count", sharers.count().to_json()),
                 ("classifier", JsonValue::Array(classifier)),
             ])
         }
         LlcEntry::Replica(replica) => JsonValue::object([
             ("kind", JsonValue::from("replica")),
-            ("state", JsonValue::from(replica.state.to_string())),
-            ("dirty", JsonValue::from(replica.dirty)),
-            ("l1_copy", JsonValue::from(replica.l1_copy)),
-            ("reuse", JsonValue::from(replica.reuse.value())),
+            ("state", replica.state.to_json()),
+            ("dirty", replica.dirty.to_json()),
+            ("l1_copy", replica.l1_copy.to_json()),
+            ("reuse", replica.reuse.value().to_json()),
         ]),
     }
 }
 
 fn llc_entry_from_json(
     value: &JsonValue,
-    what: &str,
     rt: u32,
     kind: ClassifierKind,
 ) -> Result<LlcEntry, String> {
-    match str_field(value, "kind")?.as_str() {
+    match field::<String>(value, "kind")?.as_str() {
         "home" => {
-            let mut tracked = Vec::new();
-            for core in array_field(value, "tracked")? {
-                tracked.push(core_from(core, &format!("{what} tracked sharer"))?);
-            }
+            let tracked: Vec<CoreId> = field(value, "tracked")?;
             let sharers = AckwiseSharers::from_parts(
-                u64_field(value, "max_pointers")? as usize,
+                field(value, "max_pointers")?,
                 &tracked,
-                bool_field(value, "global")?,
-                u64_field(value, "sharer_count")? as usize,
+                field(value, "global")?,
+                field(value, "sharer_count")?,
             );
-            let owner = match value.get("owner") {
-                None => return Err(format!("{what} home entry is missing \"owner\"")),
-                Some(JsonValue::Null) => None,
-                Some(core) => Some(core_from(core, &format!("{what} owner"))?),
-            };
-            let mut entries = Vec::new();
-            for (i, entry) in array_field(value, "classifier")?.iter().enumerate() {
-                let quad = entry.as_array().filter(|q| q.len() == 4);
-                let Some([core, replica, reuse, active]) = quad else {
-                    return Err(format!(
-                        "{what} classifier entry {i} must be a [core, replica, reuse, active] quad"
-                    ));
-                };
-                let mode = if replica
-                    .as_bool()
-                    .ok_or_else(|| format!("{what} classifier entry {i}: mode must be a bool"))?
-                {
-                    ReplicationMode::Replica
-                } else {
-                    ReplicationMode::NonReplica
-                };
-                entries.push(TrackedCore {
-                    core: core_from(core, &format!("{what} classifier entry {i}"))?,
-                    mode,
-                    home_reuse: reuse.as_u64().ok_or_else(|| {
-                        format!("{what} classifier entry {i}: reuse must be a number")
-                    })? as u32,
-                    active: active.as_bool().ok_or_else(|| {
-                        format!("{what} classifier entry {i}: active must be a bool")
-                    })?,
-                });
-            }
+            let classifier: Vec<(CoreId, bool, u32, bool)> = field(value, "classifier")?;
+            let entries: Vec<TrackedCore> = classifier
+                .into_iter()
+                .map(|(core, replica, home_reuse, active)| TrackedCore {
+                    core,
+                    mode: if replica {
+                        ReplicationMode::Replica
+                    } else {
+                        ReplicationMode::NonReplica
+                    },
+                    home_reuse,
+                    active,
+                })
+                .collect();
             Ok(LlcEntry::Home(HomeEntry {
-                directory: DirectoryEntry::from_parts(sharers, owner),
+                directory: DirectoryEntry::from_parts(sharers, field(value, "owner")?),
                 classifier: LocalityClassifier::from_snapshot(kind, rt, &entries),
-                dirty: bool_field(value, "dirty")?,
+                dirty: field(value, "dirty")?,
             }))
         }
         "replica" => Ok(LlcEntry::Replica(ReplicaEntry {
-            state: mesi_from(
-                value
-                    .get("state")
-                    .ok_or_else(|| format!("{what} replica is missing \"state\""))?,
-                &format!("{what} replica state"),
-            )?,
-            reuse: SaturatingCounter::with_value(rt, u64_field(value, "reuse")? as u32),
-            l1_copy: bool_field(value, "l1_copy")?,
-            dirty: bool_field(value, "dirty")?,
+            state: field(value, "state")?,
+            reuse: SaturatingCounter::with_value(rt, field(value, "reuse")?),
+            l1_copy: field(value, "l1_copy")?,
+            dirty: field(value, "dirty")?,
         })),
-        kind => Err(format!("{what}: unknown LLC entry kind {kind:?}")),
+        kind => Err(format!("unknown LLC entry kind {kind:?}")),
     }
 }
 
 fn network_to_json(state: &NetworkState) -> JsonValue {
-    let links: Vec<JsonValue> = state
+    let links = state
         .links
         .iter()
-        .map(|link| {
-            JsonValue::Array(vec![
-                JsonValue::from(link.busy_until.value()),
-                JsonValue::from(link.flits),
-            ])
-        })
-        .collect();
-    let latency: Vec<JsonValue> = state
-        .latency
-        .iter()
-        .map(|(value, count)| {
-            JsonValue::Array(vec![JsonValue::from(*value), JsonValue::from(*count)])
-        })
+        .map(|link| (link.busy_until, link.flits).to_json())
         .collect();
     JsonValue::object([
         ("links", JsonValue::Array(links)),
-        ("messages", JsonValue::from(state.messages)),
-        ("control_messages", JsonValue::from(state.control_messages)),
-        ("data_messages", JsonValue::from(state.data_messages)),
-        ("flit_hops", JsonValue::from(state.flit_hops)),
-        (
-            "router_traversals",
-            JsonValue::from(state.router_traversals),
-        ),
-        ("latency", JsonValue::Array(latency)),
+        ("messages", state.messages.to_json()),
+        ("control_messages", state.control_messages.to_json()),
+        ("data_messages", state.data_messages.to_json()),
+        ("flit_hops", state.flit_hops.to_json()),
+        ("router_traversals", state.router_traversals.to_json()),
+        ("latency", state.latency.to_json()),
     ])
 }
 
-fn pair_u64(value: &JsonValue, what: &str) -> Result<(u64, u64), String> {
-    let pair = value.as_array().filter(|p| p.len() == 2);
-    let (first, second) = match pair {
-        Some([a, b]) => (a.as_u64(), b.as_u64()),
-        _ => (None, None),
-    };
-    match (first, second) {
-        (Some(first), Some(second)) => Ok((first, second)),
-        _ => Err(format!("{what} must be a pair of numbers")),
-    }
-}
-
 fn network_from_json(value: &JsonValue) -> Result<NetworkState, String> {
-    let mut links = Vec::new();
-    for (i, link) in array_field(value, "links")?.iter().enumerate() {
-        let (busy_until, flits) = pair_u64(link, &format!("network link {i}"))?;
-        links.push(LinkState {
-            busy_until: Cycle::new(busy_until),
-            flits,
-        });
-    }
-    let mut latency = Vec::new();
-    for (i, sample) in array_field(value, "latency")?.iter().enumerate() {
-        latency.push(pair_u64(sample, &format!("network latency sample {i}"))?);
-    }
+    let links: Vec<(Cycle, u64)> = field(value, "links")?;
     Ok(NetworkState {
-        links,
-        messages: u64_field(value, "messages")?,
-        control_messages: u64_field(value, "control_messages")?,
-        data_messages: u64_field(value, "data_messages")?,
-        flit_hops: u64_field(value, "flit_hops")?,
-        router_traversals: u64_field(value, "router_traversals")?,
-        latency,
+        links: links
+            .into_iter()
+            .map(|(busy_until, flits)| LinkState { busy_until, flits })
+            .collect(),
+        messages: field(value, "messages")?,
+        control_messages: field(value, "control_messages")?,
+        data_messages: field(value, "data_messages")?,
+        flit_hops: field(value, "flit_hops")?,
+        router_traversals: field(value, "router_traversals")?,
+        latency: field(value, "latency")?,
     })
 }
 
@@ -423,94 +267,47 @@ impl EngineCheckpoint {
     /// through [`EngineCheckpoint::from_json`]; full-range `u64` words are
     /// hex strings (see the module docs).
     pub fn to_json(&self) -> JsonValue {
-        let tiles: Vec<JsonValue> = self
+        let tiles = self
             .tiles
             .iter()
             .map(|tile| {
                 JsonValue::object([
-                    ("clock", JsonValue::from(tile.clock.value())),
-                    (
-                        "l1i",
-                        cache_to_json(&tile.l1i, |s| JsonValue::from(s.to_string())),
-                    ),
-                    (
-                        "l1d",
-                        cache_to_json(&tile.l1d, |s| JsonValue::from(s.to_string())),
-                    ),
+                    ("clock", tile.clock.to_json()),
+                    ("l1i", cache_to_json(&tile.l1i, Json::to_json)),
+                    ("l1d", cache_to_json(&tile.l1d, Json::to_json)),
                     ("llc", cache_to_json(&tile.llc, llc_entry_to_json)),
                 ])
             })
             .collect();
-        let dram: Vec<JsonValue> = self
+        let dram = self
             .dram
             .iter()
-            .map(|controller| {
-                JsonValue::Array(vec![
-                    JsonValue::from(controller.free_at.value()),
-                    JsonValue::from(controller.accesses),
-                    JsonValue::from(controller.busy_cycles),
-                ])
-            })
+            .map(|c| (c.free_at, c.accesses, c.busy_cycles).to_json())
             .collect();
-        let rng: Vec<JsonValue> = self.rng.iter().map(|word| hex(*word)).collect();
-        let energy = JsonValue::Object(
-            self.energy
-                .iter()
-                .map(|(component, pj)| (component.label().to_string(), JsonValue::from(pj)))
-                .collect(),
-        );
-        let open_runs: Vec<JsonValue> = self
-            .run_lengths
-            .open_runs()
-            .iter()
-            .map(|(line, core, count, class)| {
-                JsonValue::Array(vec![
-                    hex(line.index()),
-                    JsonValue::from(core.index()),
-                    JsonValue::from(*count),
-                    JsonValue::from(class.label()),
-                ])
-            })
-            .collect();
-        let line_busy: Vec<JsonValue> = self
-            .line_busy_until
-            .iter()
-            .map(|(line, cycle)| {
-                JsonValue::Array(vec![hex(line.index()), JsonValue::from(cycle.value())])
-            })
-            .collect();
-        let consumed: Vec<JsonValue> = self.consumed.iter().map(|n| JsonValue::from(*n)).collect();
         JsonValue::object([
-            ("benchmark", JsonValue::from(self.benchmark.as_str())),
-            ("num_cores", JsonValue::from(self.num_cores)),
-            ("scheme", JsonValue::from(self.scheme.as_str())),
+            ("benchmark", self.benchmark.to_json()),
+            ("num_cores", self.num_cores.to_json()),
+            ("scheme", self.scheme.to_json()),
             (
                 "replication_threshold",
-                JsonValue::from(self.replication_threshold),
+                self.replication_threshold.to_json(),
             ),
-            (
-                "classifier_capacity",
-                self.classifier_capacity
-                    .map_or(JsonValue::Null, JsonValue::from),
-            ),
+            ("classifier_capacity", self.classifier_capacity.to_json()),
             ("tiles", JsonValue::Array(tiles)),
             ("network", network_to_json(&self.network)),
             ("dram", JsonValue::Array(dram)),
-            ("rng", JsonValue::Array(rng)),
-            ("energy", energy),
+            ("rng", self.rng.map(Hex).to_vec().to_json()),
+            ("energy", self.energy.to_json()),
             ("latency", self.latency.to_json()),
             ("misses", self.misses.to_json()),
             ("run_lengths", self.run_lengths.to_json()),
-            ("open_runs", JsonValue::Array(open_runs)),
-            ("line_busy_until", JsonValue::Array(line_busy)),
-            ("replicas_created", JsonValue::from(self.replicas_created)),
-            (
-                "back_invalidations",
-                JsonValue::from(self.back_invalidations),
-            ),
-            ("total_accesses", JsonValue::from(self.total_accesses)),
+            ("open_runs", self.run_lengths.open_runs().to_json()),
+            ("line_busy_until", self.line_busy_until.to_json()),
+            ("replicas_created", self.replicas_created.to_json()),
+            ("back_invalidations", self.back_invalidations.to_json()),
+            ("total_accesses", self.total_accesses.to_json()),
             ("classifier", self.classifier.to_json()),
-            ("consumed", JsonValue::Array(consumed)),
+            ("consumed", self.consumed.to_json()),
         ])
     }
 
@@ -526,180 +323,60 @@ impl EngineCheckpoint {
     /// (sharer lists over budget, duplicate classifier entries, …) panic in
     /// the lower crates' validating constructors — see the module docs.
     pub fn from_json(value: &JsonValue) -> Result<Self, String> {
-        let replication_threshold = u64_field(value, "replication_threshold")? as u32;
-        let classifier_capacity = match value.get("classifier_capacity") {
-            None => return Err("checkpoint is missing \"classifier_capacity\"".to_string()),
-            Some(JsonValue::Null) => None,
-            Some(capacity) => Some(
-                capacity
-                    .as_u64()
-                    .ok_or("\"classifier_capacity\" must be null or a number")?
-                    as usize,
-            ),
-        };
-        let kind = match classifier_capacity {
-            None => ClassifierKind::Complete,
-            Some(k) => ClassifierKind::Limited(k),
-        };
-
-        let mut tiles = Vec::new();
-        for (i, tile) in array_field(value, "tiles")?.iter().enumerate() {
-            let l1i = tile
-                .get("l1i")
-                .ok_or_else(|| format!("tile {i} is missing \"l1i\""))?;
-            let l1d = tile
-                .get("l1d")
-                .ok_or_else(|| format!("tile {i} is missing \"l1d\""))?;
-            let llc = tile
-                .get("llc")
-                .ok_or_else(|| format!("tile {i} is missing \"llc\""))?;
-            tiles.push(TileCheckpoint {
-                clock: Cycle::new(u64_field(tile, "clock")?),
-                l1i: cache_from_json(l1i, &format!("tile {i} l1i"), mesi_from)?,
-                l1d: cache_from_json(l1d, &format!("tile {i} l1d"), mesi_from)?,
-                llc: cache_from_json(llc, &format!("tile {i} llc"), |entry, what| {
-                    llc_entry_from_json(entry, what, replication_threshold, kind)
+        let replication_threshold = field(value, "replication_threshold")?;
+        let classifier_capacity: Option<usize> = field(value, "classifier_capacity")?;
+        let kind = classifier_capacity.map_or(ClassifierKind::Complete, ClassifierKind::Limited);
+        let tile_from_json = |tile: &JsonValue| {
+            let llc_entry =
+                |entry: &JsonValue| llc_entry_from_json(entry, replication_threshold, kind);
+            Ok(TileCheckpoint {
+                clock: field(tile, "clock")?,
+                l1i: field_with(tile, "l1i", |cache| {
+                    cache_from_json(cache, MesiState::from_json)
                 })?,
-            });
+                l1d: field_with(tile, "l1d", |cache| {
+                    cache_from_json(cache, MesiState::from_json)
+                })?,
+                llc: field_with(tile, "llc", |cache| cache_from_json(cache, llc_entry))?,
+            })
+        };
+        let dram: Vec<(Cycle, u64, u64)> = field(value, "dram")?;
+        let rng: Vec<Hex> = field(value, "rng")?;
+        let rng: [Hex; 4] = rng.try_into().map_err(|words: Vec<Hex>| {
+            format!("rng state must have 4 words, not {}", words.len())
+        })?;
+        let mut run_lengths: RunLengthProfile = field(value, "run_lengths")?;
+        let open_runs: Vec<(CacheLine, CoreId, u64, DataClass)> = field(value, "open_runs")?;
+        for (line, core, count, class) in open_runs {
+            run_lengths.restore_open_run(line, core, count, class);
         }
-
-        let network = network_from_json(
-            value
-                .get("network")
-                .ok_or("checkpoint is missing the network state")?,
-        )?;
-
-        let mut dram = Vec::new();
-        for (i, controller) in array_field(value, "dram")?.iter().enumerate() {
-            let triple = controller.as_array().filter(|t| t.len() == 3);
-            let values = match triple {
-                Some([a, b, c]) => match (a.as_u64(), b.as_u64(), c.as_u64()) {
-                    (Some(a), Some(b), Some(c)) => Some((a, b, c)),
-                    _ => None,
-                },
-                _ => None,
-            };
-            let (free_at, accesses, busy_cycles) = values.ok_or_else(|| {
-                format!("dram controller {i} must be a [free_at, accesses, busy_cycles] triple")
-            })?;
-            dram.push(DramControllerState {
-                free_at: Cycle::new(free_at),
-                accesses,
-                busy_cycles,
-            });
-        }
-
-        let rng_words = array_field(value, "rng")?;
-        if rng_words.len() != 4 {
-            return Err(format!(
-                "rng state must have 4 words, not {}",
-                rng_words.len()
-            ));
-        }
-        let mut rng = [0u64; 4];
-        for (slot, word) in rng.iter_mut().zip(rng_words) {
-            *slot = parse_hex(word, "rng word")?;
-        }
-
-        let energy_obj = value
-            .get("energy")
-            .and_then(JsonValue::as_object)
-            .ok_or("checkpoint is missing the energy breakdown")?;
-        let mut energy = EnergyAccounting::new();
-        for (label, pj) in energy_obj {
-            let component = Component::ALL
-                .iter()
-                .copied()
-                .find(|c| c.label() == label)
-                .ok_or_else(|| format!("unknown energy component {label:?}"))?;
-            let pj = pj
-                .as_f64()
-                .filter(|pj| *pj >= 0.0)
-                .ok_or_else(|| format!("energy of {label:?} must be a non-negative number"))?;
-            energy.record(component, pj);
-        }
-
-        let mut run_lengths = RunLengthProfile::from_json(
-            value
-                .get("run_lengths")
-                .ok_or("checkpoint is missing the run-length profile")?,
-        )?;
-        for (i, run) in array_field(value, "open_runs")?.iter().enumerate() {
-            let quad = run.as_array().filter(|q| q.len() == 4);
-            let Some([line, core, count, class]) = quad else {
-                return Err(format!(
-                    "open run {i} must be a [line, core, length, class] quad"
-                ));
-            };
-            run_lengths.restore_open_run(
-                CacheLine::from_index(parse_hex(line, &format!("open run {i} line"))?),
-                core_from(core, &format!("open run {i} core"))?,
-                count
-                    .as_u64()
-                    .ok_or_else(|| format!("open run {i}: length must be a number"))?,
-                class_from(class, &format!("open run {i} class"))?,
-            );
-        }
-
-        let mut line_busy_until = Vec::new();
-        for (i, entry) in array_field(value, "line_busy_until")?.iter().enumerate() {
-            let pair = entry.as_array().filter(|p| p.len() == 2);
-            let Some([line, cycle]) = pair else {
-                return Err(format!(
-                    "line_busy_until entry {i} must be a [line, cycle] pair"
-                ));
-            };
-            line_busy_until.push((
-                CacheLine::from_index(parse_hex(line, &format!("line_busy_until entry {i}"))?),
-                Cycle::new(
-                    cycle.as_u64().ok_or_else(|| {
-                        format!("line_busy_until entry {i}: cycle must be a number")
-                    })?,
-                ),
-            ));
-        }
-
-        let mut consumed = Vec::new();
-        for (i, count) in array_field(value, "consumed")?.iter().enumerate() {
-            consumed.push(
-                count
-                    .as_u64()
-                    .ok_or_else(|| format!("consumed[{i}] must be a number"))?,
-            );
-        }
-
         Ok(EngineCheckpoint {
-            benchmark: str_field(value, "benchmark")?,
-            num_cores: u64_field(value, "num_cores")? as usize,
-            scheme: str_field(value, "scheme")?,
+            benchmark: field(value, "benchmark")?,
+            num_cores: field(value, "num_cores")?,
+            scheme: field(value, "scheme")?,
             replication_threshold,
             classifier_capacity,
-            tiles,
-            network,
-            dram,
-            rng,
-            energy,
-            latency: LatencyBreakdown::from_json(
-                value
-                    .get("latency")
-                    .ok_or("checkpoint is missing the latency breakdown")?,
-            )?,
-            misses: MissBreakdown::from_json(
-                value
-                    .get("misses")
-                    .ok_or("checkpoint is missing the miss breakdown")?,
-            )?,
+            tiles: field_with(value, "tiles", |tiles| items(tiles, tile_from_json))?,
+            network: field_with(value, "network", network_from_json)?,
+            dram: dram
+                .into_iter()
+                .map(|(free_at, accesses, busy_cycles)| DramControllerState {
+                    free_at,
+                    accesses,
+                    busy_cycles,
+                })
+                .collect(),
+            rng: rng.map(|Hex(word)| word),
+            energy: field(value, "energy")?,
+            latency: field(value, "latency")?,
+            misses: field(value, "misses")?,
             run_lengths,
-            line_busy_until,
-            replicas_created: u64_field(value, "replicas_created")?,
-            back_invalidations: u64_field(value, "back_invalidations")?,
-            total_accesses: u64_field(value, "total_accesses")?,
-            classifier: ClassifierStats::from_json(
-                value
-                    .get("classifier")
-                    .ok_or("checkpoint is missing the classifier variance totals")?,
-            )?,
-            consumed,
+            line_busy_until: field(value, "line_busy_until")?,
+            replicas_created: field(value, "replicas_created")?,
+            back_invalidations: field(value, "back_invalidations")?,
+            total_accesses: field(value, "total_accesses")?,
+            classifier: field(value, "classifier")?,
+            consumed: field(value, "consumed")?,
         })
     }
 }
@@ -713,6 +390,14 @@ mod tests {
     use lad_trace::benchmarks::Benchmark;
     use lad_trace::generator::TraceGenerator;
     use lad_traceio::source::MemorySource;
+
+    fn hex(value: u64) -> JsonValue {
+        Hex(value).to_json()
+    }
+
+    fn parse_hex(value: &JsonValue, _what: &str) -> Result<u64, String> {
+        Hex::from_json(value).map(|Hex(word)| word)
+    }
 
     fn captured_checkpoint() -> EngineCheckpoint {
         let trace = TraceGenerator::new(Benchmark::Barnes.profile()).generate(16, 400, 7);

@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use lad_common::config::SystemConfig;
-use lad_common::json::JsonValue;
+use lad_common::json::{field, field_with, items, Json, JsonValue};
 use lad_common::stats::{geometric_mean, mean, normalized};
 use lad_energy::model::EnergyModel;
 use lad_replication::config::ReplicationConfig;
@@ -719,24 +719,19 @@ impl SchemeComparison {
     /// The whole comparison as a JSON object (benchmarks plus one entry per
     /// matrix cell).  Round-trips through [`SchemeComparison::from_json`].
     pub fn to_json(&self) -> JsonValue {
-        let benchmarks: Vec<JsonValue> = self
-            .benchmarks
-            .iter()
-            .map(|b| JsonValue::from(b.label()))
-            .collect();
-        let entries: Vec<JsonValue> = self
+        let entries = self
             .reports
             .iter()
             .map(|((benchmark, scheme), report)| {
                 JsonValue::object([
-                    ("benchmark", JsonValue::from(benchmark.label())),
-                    ("scheme", JsonValue::from(scheme.label())),
+                    ("benchmark", benchmark.to_json()),
+                    ("scheme", scheme.to_json()),
                     ("report", report.to_json()),
                 ])
             })
             .collect();
         JsonValue::object([
-            ("benchmarks", JsonValue::Array(benchmarks)),
+            ("benchmarks", self.benchmarks.to_json()),
             ("entries", JsonValue::Array(entries)),
         ])
     }
@@ -748,52 +743,15 @@ impl SchemeComparison {
     /// Returns a description of the first malformed entry or unknown
     /// benchmark label.
     pub fn from_json(value: &JsonValue) -> Result<Self, String> {
-        let benchmark_for = |label: &str| {
-            Benchmark::ALL
-                .iter()
-                .copied()
-                .find(|b| b.label() == label)
-                .ok_or_else(|| format!("unknown benchmark {label:?}"))
+        let entry_from_json = |entry: &JsonValue| {
+            let key = (field(entry, "benchmark")?, field(entry, "scheme")?);
+            Ok((key, field(entry, "report")?))
         };
-        let benchmarks = value
-            .get("benchmarks")
-            .and_then(JsonValue::as_array)
-            .ok_or("comparison is missing the benchmark list")?
-            .iter()
-            .map(|b| {
-                b.as_str()
-                    .ok_or_else(|| "benchmark labels must be strings".to_string())
-                    .and_then(benchmark_for)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut reports = BTreeMap::new();
-        for entry in value
-            .get("entries")
-            .and_then(JsonValue::as_array)
-            .ok_or("comparison is missing the entry list")?
-        {
-            let benchmark = benchmark_for(
-                entry
-                    .get("benchmark")
-                    .and_then(JsonValue::as_str)
-                    .ok_or("comparison entry is missing its benchmark")?,
-            )?;
-            let scheme = SchemeId::parse(
-                entry
-                    .get("scheme")
-                    .and_then(JsonValue::as_str)
-                    .ok_or("comparison entry is missing its scheme")?,
-            );
-            let report = SimulationReport::from_json(
-                entry
-                    .get("report")
-                    .ok_or("comparison entry is missing its report")?,
-            )?;
-            reports.insert((benchmark, scheme), report);
-        }
         Ok(SchemeComparison {
-            benchmarks,
-            reports,
+            benchmarks: field(value, "benchmarks")?,
+            reports: field_with(value, "entries", |entries| items(entries, entry_from_json))?
+                .into_iter()
+                .collect(),
         })
     }
 }

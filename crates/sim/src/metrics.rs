@@ -6,10 +6,10 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use lad_common::collections::FastMap;
-use lad_common::json::JsonValue;
+use lad_common::json::{Json, JsonValue};
 use lad_common::stats::Histogram;
 use lad_common::types::{CacheLine, CoreId, Cycle, DataClass};
-use lad_energy::accounting::{Component, EnergyAccounting};
+use lad_energy::accounting::EnergyAccounting;
 use lad_replication::scheme::SchemeId;
 
 /// The completion-time components of Figure 7, accumulated over all cores
@@ -63,43 +63,6 @@ impl LatencyBreakdown {
         self.values().iter().sum()
     }
 
-    /// The breakdown as a JSON object keyed by the Figure 7 labels.
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::Object(
-            Self::LABELS
-                .iter()
-                .zip(self.values())
-                .map(|(label, value)| (label.to_string(), JsonValue::from(value)))
-                .collect(),
-        )
-    }
-
-    /// Rebuilds a breakdown from [`LatencyBreakdown::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first missing or mistyped field.
-    pub fn from_json(value: &JsonValue) -> Result<Self, String> {
-        let mut values = [0u64; 7];
-        for (label, slot) in Self::LABELS.iter().zip(values.iter_mut()) {
-            *slot = value
-                .get(label)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("latency breakdown is missing {label:?}"))?;
-        }
-        let [compute, l1_to_llc_replica, l1_to_llc_home, llc_home_waiting, llc_home_to_sharers, llc_home_to_offchip, synchronization] =
-            values;
-        Ok(LatencyBreakdown {
-            compute,
-            l1_to_llc_replica,
-            l1_to_llc_home,
-            llc_home_waiting,
-            llc_home_to_sharers,
-            llc_home_to_offchip,
-            synchronization,
-        })
-    }
-
     /// Merges another breakdown into this one.
     pub fn merge(&mut self, other: &LatencyBreakdown) {
         self.compute += other.compute;
@@ -111,6 +74,17 @@ impl LatencyBreakdown {
         self.synchronization += other.synchronization;
     }
 }
+
+// Keyed by the Figure 7 labels, in `LatencyBreakdown::LABELS` order.
+lad_common::json_struct!(LatencyBreakdown {
+    compute = "Compute",
+    l1_to_llc_replica = "L1-To-LLC-Replica",
+    l1_to_llc_home = "L1-To-LLC-Home",
+    llc_home_waiting = "LLC-Home-Waiting",
+    llc_home_to_sharers = "LLC-Home-To-Sharers",
+    llc_home_to_offchip = "LLC-Home-To-OffChip",
+    synchronization = "Synchronization",
+});
 
 impl fmt::Display for LatencyBreakdown {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -160,37 +134,14 @@ impl MissBreakdown {
             self.offchip_misses as f64 / misses as f64
         }
     }
-
-    /// The breakdown as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("l1_hits", JsonValue::from(self.l1_hits)),
-            ("llc_replica_hits", JsonValue::from(self.llc_replica_hits)),
-            ("llc_home_hits", JsonValue::from(self.llc_home_hits)),
-            ("offchip_misses", JsonValue::from(self.offchip_misses)),
-        ])
-    }
-
-    /// Rebuilds a breakdown from [`MissBreakdown::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first missing or mistyped field.
-    pub fn from_json(value: &JsonValue) -> Result<Self, String> {
-        let field = |name: &str| {
-            value
-                .get(name)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("miss breakdown is missing {name:?}"))
-        };
-        Ok(MissBreakdown {
-            l1_hits: field("l1_hits")?,
-            llc_replica_hits: field("llc_replica_hits")?,
-            llc_home_hits: field("llc_home_hits")?,
-            offchip_misses: field("offchip_misses")?,
-        })
-    }
 }
+
+lad_common::json_struct!(MissBreakdown {
+    l1_hits,
+    llc_replica_hits,
+    llc_home_hits,
+    offchip_misses
+});
 
 impl fmt::Display for MissBreakdown {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -288,9 +239,8 @@ impl RunLengthProfile {
     }
 
     /// The open (not yet closed) runs as `(line, core, length, class)`
-    /// tuples sorted by line — the checkpoint companion to
-    /// [`RunLengthProfile::to_json`], which covers only the closed-run
-    /// histograms.
+    /// tuples sorted by line — the checkpoint companion to the JSON form,
+    /// which covers only the closed-run histograms.
     pub fn open_runs(&self) -> Vec<(CacheLine, CoreId, u64, DataClass)> {
         let mut runs: Vec<_> = self
             .open_runs
@@ -375,59 +325,37 @@ impl RunLengthProfile {
     pub fn mean_run_length(&self, class: DataClass) -> Option<f64> {
         self.histograms.get(&class).and_then(Histogram::mean)
     }
+}
 
-    /// The per-class run-length histograms as a JSON object
-    /// (`{class label: [[run length, count], ...]}`).  Open runs are not
-    /// serialized — call [`RunLengthProfile::finalize`] first (reports
-    /// produced by the simulator already are).
-    pub fn to_json(&self) -> JsonValue {
+/// The per-class run-length histograms as an object from class label to
+/// `[[run length, count], ...]`.  Open runs are not serialized — call
+/// [`RunLengthProfile::finalize`] first (reports produced by the simulator
+/// already are).
+impl Json for RunLengthProfile {
+    fn to_json(&self) -> JsonValue {
         JsonValue::Object(
             self.histograms
                 .iter()
                 .map(|(class, histogram)| {
-                    let samples: Vec<JsonValue> = histogram
-                        .iter()
-                        .map(|(value, count)| {
-                            JsonValue::Array(vec![JsonValue::from(value), JsonValue::from(count)])
-                        })
-                        .collect();
+                    let samples = histogram.iter().map(|sample| sample.to_json()).collect();
                     (class.label().to_string(), JsonValue::Array(samples))
                 })
                 .collect(),
         )
     }
 
-    /// Rebuilds a finalized profile from [`RunLengthProfile::to_json`]
-    /// output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first unknown class or malformed sample.
-    pub fn from_json(value: &JsonValue) -> Result<Self, String> {
-        let pairs = value
-            .as_object()
-            .ok_or("run-length profile must be an object")?;
+    fn from_json(value: &JsonValue) -> Result<Self, String> {
+        let pairs = value.as_object().ok_or("expected a run-length object")?;
         let mut profile = RunLengthProfile::new();
         for (label, samples) in pairs {
-            let class = DataClass::ALL
-                .iter()
-                .copied()
-                .find(|c| c.label() == label)
-                .ok_or_else(|| format!("unknown data class {label:?}"))?;
-            let samples = samples
-                .as_array()
-                .ok_or_else(|| format!("run lengths of {label:?} must be an array"))?;
-            let histogram = profile.histograms.entry(class).or_default();
-            for sample in samples {
-                let pair = sample.as_array().filter(|p| p.len() == 2);
-                let (value, count) = match pair {
-                    Some([v, c]) => (v.as_u64(), c.as_u64()),
-                    _ => (None, None),
-                };
-                match (value, count) {
-                    (Some(value), Some(count)) => histogram.record_weighted(value, count),
-                    _ => return Err(format!("malformed run-length sample for {label:?}")),
-                }
+            let histogram = profile
+                .histograms
+                .entry(DataClass::parse(label)?)
+                .or_default();
+            for (value, count) in Vec::<(u64, u64)>::from_json(samples)
+                .map_err(|err| format!("run lengths of {label:?}: {err}"))?
+            {
+                histogram.record_weighted(value, count);
             }
         }
         Ok(profile)
@@ -450,33 +378,10 @@ pub struct ClassifierStats {
     pub peak_tracked: u64,
 }
 
-impl ClassifierStats {
-    /// The counters as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("mode_flips", JsonValue::from(self.mode_flips)),
-            ("peak_tracked", JsonValue::from(self.peak_tracked)),
-        ])
-    }
-
-    /// Rebuilds the counters from [`ClassifierStats::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first missing or mistyped field.
-    pub fn from_json(value: &JsonValue) -> Result<Self, String> {
-        let field = |name: &str| {
-            value
-                .get(name)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("classifier stats are missing numeric field {name:?}"))
-        };
-        Ok(ClassifierStats {
-            mode_flips: field("mode_flips")?,
-            peak_tracked: field("peak_tracked")?,
-        })
-    }
-}
+lad_common::json_struct!(ClassifierStats {
+    mode_flips,
+    peak_tracked
+});
 
 /// The complete result of one simulation run.
 #[derive(Debug, Clone)]
@@ -525,109 +430,24 @@ impl SimulationReport {
             self.latency.total() - self.latency.compute - self.latency.synchronization;
         memory_cycles as f64 / self.total_accesses as f64
     }
-
-    /// The full report as a JSON object — the machine-readable form emitted
-    /// by the figure binaries' `--json` flag.  Numeric values round-trip
-    /// exactly through [`SimulationReport::from_json`].
-    pub fn to_json(&self) -> JsonValue {
-        let energy = JsonValue::Object(
-            self.energy
-                .iter()
-                .map(|(component, pj)| (component.label().to_string(), JsonValue::from(pj)))
-                .collect(),
-        );
-        JsonValue::object([
-            ("benchmark", JsonValue::from(self.benchmark.as_str())),
-            ("scheme", JsonValue::from(self.scheme.as_str())),
-            ("scheme_id", JsonValue::from(self.scheme_id.label())),
-            (
-                "completion_time",
-                JsonValue::from(self.completion_time.value()),
-            ),
-            ("total_accesses", JsonValue::from(self.total_accesses)),
-            ("replicas_created", JsonValue::from(self.replicas_created)),
-            (
-                "back_invalidations",
-                JsonValue::from(self.back_invalidations),
-            ),
-            ("classifier", self.classifier.to_json()),
-            ("latency", self.latency.to_json()),
-            ("misses", self.misses.to_json()),
-            ("energy", energy),
-            ("run_lengths", self.run_lengths.to_json()),
-        ])
-    }
-
-    /// Rebuilds a report from [`SimulationReport::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first missing or mistyped field.
-    pub fn from_json(value: &JsonValue) -> Result<Self, String> {
-        let str_field = |name: &str| {
-            value
-                .get(name)
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("report is missing string field {name:?}"))
-        };
-        let u64_field = |name: &str| {
-            value
-                .get(name)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("report is missing numeric field {name:?}"))
-        };
-        let energy_obj = value
-            .get("energy")
-            .and_then(JsonValue::as_object)
-            .ok_or("report is missing the energy breakdown")?;
-        let mut energy = EnergyAccounting::new();
-        for (label, pj) in energy_obj {
-            let component = Component::ALL
-                .iter()
-                .copied()
-                .find(|c| c.label() == label)
-                .ok_or_else(|| format!("unknown energy component {label:?}"))?;
-            let pj = pj
-                .as_f64()
-                .ok_or_else(|| format!("energy of {label:?} must be a number"))?;
-            if pj < 0.0 {
-                return Err(format!("energy of {label:?} must be non-negative"));
-            }
-            energy.record(component, pj);
-        }
-        Ok(SimulationReport {
-            benchmark: str_field("benchmark")?,
-            scheme: str_field("scheme")?,
-            scheme_id: SchemeId::parse(&str_field("scheme_id")?),
-            completion_time: Cycle::new(u64_field("completion_time")?),
-            latency: LatencyBreakdown::from_json(
-                value
-                    .get("latency")
-                    .ok_or("report is missing the latency breakdown")?,
-            )?,
-            misses: MissBreakdown::from_json(
-                value
-                    .get("misses")
-                    .ok_or("report is missing the miss breakdown")?,
-            )?,
-            energy,
-            run_lengths: RunLengthProfile::from_json(
-                value
-                    .get("run_lengths")
-                    .ok_or("report is missing the run-length profile")?,
-            )?,
-            total_accesses: u64_field("total_accesses")?,
-            replicas_created: u64_field("replicas_created")?,
-            back_invalidations: u64_field("back_invalidations")?,
-            classifier: ClassifierStats::from_json(
-                value
-                    .get("classifier")
-                    .ok_or("report is missing the classifier variance counters")?,
-            )?,
-        })
-    }
 }
+
+// The machine-readable form emitted by the figure binaries' `--json` flag
+// and stored by the experiment service; values round-trip exactly.
+lad_common::json_struct!(SimulationReport {
+    benchmark,
+    scheme,
+    scheme_id,
+    completion_time,
+    total_accesses,
+    replicas_created,
+    back_invalidations,
+    classifier,
+    latency,
+    misses,
+    energy,
+    run_lengths,
+});
 
 impl fmt::Display for SimulationReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -22,6 +22,8 @@
 //! * **OCEAN-C, OCEAN-NC, FLUIDANIMATE, CONCOMP** — reuse run-lengths of
 //!   1–2 and working sets that exceed the LLC, so replication only pollutes.
 
+use lad_common::json::{Json, JsonValue};
+
 use crate::generator::BenchmarkProfile;
 use crate::pattern::{ClassMix, ReuseModel};
 
@@ -81,6 +83,18 @@ impl Benchmark {
     /// The label used in the paper's figures.
     pub fn label(self) -> &'static str {
         self.profile().name
+    }
+
+    /// Parses a [`Benchmark::label`].
+    ///
+    /// # Errors
+    ///
+    /// Names the label when no benchmark has it.
+    pub fn parse(label: &str) -> Result<Benchmark, String> {
+        Benchmark::ALL
+            .into_iter()
+            .find(|benchmark| benchmark.label() == label)
+            .ok_or_else(|| format!("unknown benchmark {label:?}"))
     }
 
     /// The benchmark suite the application comes from.
@@ -464,6 +478,16 @@ impl Benchmark {
                 mean_compute_cycles: 5,
             },
         }
+    }
+}
+
+impl Json for Benchmark {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::from(self.label())
+    }
+
+    fn from_json(value: &JsonValue) -> Result<Self, String> {
+        Benchmark::parse(value.as_str().ok_or("expected a benchmark label")?)
     }
 }
 

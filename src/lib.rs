@@ -3,9 +3,8 @@
 //!
 //! This crate is the umbrella of the workspace: it re-exports every
 //! sub-crate under a stable module path and provides a [`prelude`] with the
-//! types most programs need.  See `README.md` for the architecture overview,
-//! `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
-//! paper-versus-measured record of every figure.
+//! types most programs need.  See `README.md` for the architecture overview
+//! and the per-figure binaries.
 //!
 //! # Quick start
 //!
