@@ -24,15 +24,16 @@
 //! * `--quick` — CI smoke scale (8 cores, 150 accesses per core, 1 rep),
 //! * `--json <path>` — write the JSON report (e.g. `BENCH_7.json`).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use lad_bench::{
-    csv_row, emit_json, env_number, figure_json, flag_value, quick_mode, validate_json_target,
+    csv_row, emit_json, env_number, exit_usage, figure_json, quick_mode, validate_json_target,
 };
+use lad_common::cli::Args;
 use lad_common::config::SystemConfig;
 use lad_common::json::JsonValue;
+use lad_common::workers::{map_in_order, pool_size, worker_count_or};
 use lad_energy::model::EnergyModel;
 use lad_replication::policy::SchemeRegistry;
 use lad_replication::scheme::SchemeId;
@@ -81,7 +82,9 @@ fn sweep() -> Vec<(usize, usize)> {
 
 /// The value of `--threads <N>`, if present.
 fn threads_flag() -> Option<usize> {
-    flag_value("--threads").and_then(|value| value.parse().ok())
+    Args::from_env()
+        .number("--threads")
+        .unwrap_or_else(|err| exit_usage(&err))
 }
 
 fn schemes() -> Vec<SchemeId> {
@@ -138,65 +141,42 @@ fn main() {
     // Worker-count selection follows the workspace rule (flag, then
     // LAD_THREADS, then the default) with a default of ONE worker: timing
     // cells in parallel makes them contend for cores and understates
-    // throughput, so parallelism is strictly opt-in here.  Cells are tagged
-    // with their job index and merged in index order, so the report is
-    // identical no matter which worker ran which cell.
-    let workers = lad_common::workers::worker_count_or(threads_flag(), 1).min(jobs.len().max(1));
+    // throughput, so parallelism is strictly opt-in here.  Cells come back
+    // in job order, so the report is identical no matter which worker ran
+    // which cell.
+    let workers = pool_size(worker_count_or(threads_flag(), 1), jobs.len());
     if workers > 1 {
         println!("(timing with {workers} parallel workers; expect contention)");
     }
-    let next_job = AtomicUsize::new(0);
-    type TimedCell = (usize, usize, SchemeId, Vec<f64>, u64);
-    let mut timed: Vec<(usize, TimedCell)> = Vec::with_capacity(jobs.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let jobs = &jobs;
-                let next_job = &next_job;
-                let registry = &registry;
-                scope.spawn(move || {
-                    let mut cells: Vec<(usize, TimedCell)> = Vec::new();
-                    loop {
-                        let index = next_job.fetch_add(1, Ordering::Relaxed);
-                        let Some((cores, system, trace, scheme)) = jobs.get(index) else {
-                            break;
-                        };
-                        let entry = registry.get(*scheme).unwrap_or_else(|err| {
-                            panic!("builtin registry must cover the sweep: {err}")
-                        });
-                        let accesses = trace.total_accesses();
-                        let mut rep_seconds = Vec::with_capacity(reps);
-                        let mut completion = 0u64;
-                        for _ in 0..reps {
-                            let mut sim = Simulator::with_policy_and_energy_model(
-                                system.clone(),
-                                entry.config.clone(),
-                                Arc::clone(&entry.policy),
-                                EnergyModel::paper_default(),
-                            );
-                            let start = Instant::now();
-                            let report = sim.run(trace);
-                            rep_seconds.push(start.elapsed().as_secs_f64());
-                            completion = report.completion_time.value();
-                        }
-                        cells.push((index, (*cores, accesses, *scheme, rep_seconds, completion)));
-                    }
-                    cells
-                })
-            })
-            .collect();
-        for handle in handles {
-            timed.extend(
-                handle
-                    .join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+    let timed = map_in_order(workers, &jobs, |_, (cores, system, trace, scheme)| {
+        let entry = registry
+            .get(*scheme)
+            .unwrap_or_else(|err| panic!("builtin registry must cover the sweep: {err}"));
+        let mut rep_seconds = Vec::with_capacity(reps);
+        let mut completion = 0u64;
+        for _ in 0..reps {
+            let mut sim = Simulator::with_policy_and_energy_model(
+                system.clone(),
+                entry.config.clone(),
+                Arc::clone(&entry.policy),
+                EnergyModel::paper_default(),
             );
+            let start = Instant::now();
+            let report = sim.run(trace);
+            rep_seconds.push(start.elapsed().as_secs_f64());
+            completion = report.completion_time.value();
         }
+        (
+            *cores,
+            trace.total_accesses(),
+            *scheme,
+            rep_seconds,
+            completion,
+        )
     });
-    timed.sort_unstable_by_key(|(index, _)| *index);
 
     let mut cells = Vec::new();
-    for (_, (cores, accesses, scheme, rep_seconds, completion)) in timed {
+    for (cores, accesses, scheme, rep_seconds, completion) in timed {
         // min == the best-of-N headline; median/max expose run-to-run
         // variance so later perf PRs can tell noise from regression.
         let mut sorted = rep_seconds;

@@ -22,6 +22,7 @@ use std::io::{BufReader, BufWriter};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use lad_common::cli::Args;
 use lad_common::config::SystemConfig;
 use lad_replication::scheme::SchemeId;
 use lad_sim::experiment::ExperimentRunner;
@@ -46,16 +47,16 @@ USAGE:
 Schemes are the registry labels: S-NUCA, R-NUCA, VR, ASR-<level>, RT-<k>.";
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first() else {
+    let mut args = Args::from_env().with_usage(USAGE);
+    let Some(command) = args.positional() else {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
     let result = match command.as_str() {
-        "record" => cmd_record(&args[1..]),
-        "replay" => cmd_replay(&args[1..]),
-        "inspect" => cmd_inspect(&args[1..]),
-        "convert" => cmd_convert(&args[1..]),
+        "record" => cmd_record(args),
+        "replay" => cmd_replay(args),
+        "inspect" => cmd_inspect(args),
+        "convert" => cmd_convert(args),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
             return ExitCode::SUCCESS;
@@ -71,32 +72,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// Pulls the value of `--flag value` out of `args`, removing both tokens.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
-    let Some(index) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    if index + 1 >= args.len() {
-        return Err(format!("{flag} requires a value"));
-    }
-    let value = args.remove(index + 1);
-    args.remove(index);
-    Ok(Some(value))
-}
-
-fn parse_number<T: std::str::FromStr>(value: &str, what: &str) -> Result<T, String> {
-    value
-        .parse()
-        .map_err(|_| format!("{what} must be a number, got {value:?}"))
-}
-
-fn no_leftovers(args: &[String]) -> Result<(), String> {
-    match args.first() {
-        Some(extra) => Err(format!("unexpected argument {extra:?}\n\n{USAGE}")),
-        None => Ok(()),
-    }
-}
-
 fn suite_by_name(name: &str) -> Result<BenchmarkSuite, String> {
     match name {
         "quick" => Ok(BenchmarkSuite::quick()),
@@ -109,22 +84,17 @@ fn suite_by_name(name: &str) -> Result<BenchmarkSuite, String> {
     }
 }
 
-fn cmd_record(args: &[String]) -> Result<(), String> {
-    let mut args = args.to_vec();
-    let out = take_flag(&mut args, "--out")?.ok_or("record requires --out <DIR>")?;
-    let mut suite =
-        suite_by_name(&take_flag(&mut args, "--suite")?.unwrap_or_else(|| "quick".into()))?;
-    let cores = match take_flag(&mut args, "--cores")? {
-        Some(v) => parse_number(&v, "--cores")?,
-        None => 8usize,
-    };
-    if let Some(accesses) = take_flag(&mut args, "--accesses")? {
-        suite = suite.with_accesses_per_core(parse_number(&accesses, "--accesses")?);
+fn cmd_record(mut args: Args) -> Result<(), String> {
+    let out = args.value("--out")?.ok_or("record requires --out <DIR>")?;
+    let mut suite = suite_by_name(&args.value("--suite")?.unwrap_or_else(|| "quick".into()))?;
+    let cores = args.number("--cores")?.unwrap_or(8usize);
+    if let Some(accesses) = args.number("--accesses")? {
+        suite = suite.with_accesses_per_core(accesses);
     }
-    if let Some(seed) = take_flag(&mut args, "--seed")? {
-        suite = suite.with_seed(parse_number(&seed, "--seed")?);
+    if let Some(seed) = args.number("--seed")? {
+        suite = suite.with_seed(seed);
     }
-    no_leftovers(&args)?;
+    args.finish()?;
 
     let dir = PathBuf::from(out);
     let recorded = record_suite(&suite, cores, &dir).map_err(|e| e.to_string())?;
@@ -147,15 +117,16 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_replay(args: &[String]) -> Result<(), String> {
-    let mut args = args.to_vec();
-    let scheme_label =
-        take_flag(&mut args, "--scheme")?.ok_or("replay requires --scheme <SCHEME>")?;
-    let json = take_flag(&mut args, "--json")?;
-    if args.len() != 1 {
-        return Err(format!("replay takes exactly one trace file\n\n{USAGE}"));
-    }
-    let path = PathBuf::from(args.remove(0));
+fn cmd_replay(mut args: Args) -> Result<(), String> {
+    let scheme_label = args
+        .value("--scheme")?
+        .ok_or("replay requires --scheme <SCHEME>")?;
+    let json = args.value("--json")?;
+    let path = PathBuf::from(
+        args.positional()
+            .ok_or(format!("replay takes exactly one trace file\n\n{USAGE}"))?,
+    );
+    args.finish()?;
 
     let header = read_header(&path)?;
     let scheme = SchemeId::parse(&scheme_label);
@@ -199,11 +170,12 @@ fn print_report(report: &SimulationReport) {
     println!("energy           {:.1} nJ", report.energy.total() / 1000.0);
 }
 
-fn cmd_inspect(args: &[String]) -> Result<(), String> {
-    if args.len() != 1 {
-        return Err(format!("inspect takes exactly one trace file\n\n{USAGE}"));
-    }
-    let path = PathBuf::from(&args[0]);
+fn cmd_inspect(mut args: Args) -> Result<(), String> {
+    let path = PathBuf::from(
+        args.positional()
+            .ok_or(format!("inspect takes exactly one trace file\n\n{USAGE}"))?,
+    );
+    args.finish()?;
     let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
     let file = File::open(&path).map_err(|e| format!("cannot open {}: {e}", path.display()))?;
     let mut reader = TraceReader::new(BufReader::new(file)).map_err(|e| e.to_string())?;
@@ -266,21 +238,20 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_convert(args: &[String]) -> Result<(), String> {
-    let mut args = args.to_vec();
-    let to = take_flag(&mut args, "--to")?.ok_or("convert requires --to ladt|text")?;
-    let name = take_flag(&mut args, "--name")?.unwrap_or_else(|| "EXTERNAL".into());
-    let cores = take_flag(&mut args, "--cores")?;
-    let seed = match take_flag(&mut args, "--seed")? {
-        Some(v) => parse_number(&v, "--seed")?,
-        None => 0u64,
-    };
-    if args.len() != 2 {
+fn cmd_convert(mut args: Args) -> Result<(), String> {
+    let to = args
+        .value("--to")?
+        .ok_or("convert requires --to ladt|text")?;
+    let name = args.value("--name")?.unwrap_or_else(|| "EXTERNAL".into());
+    let cores = args.number("--cores")?;
+    let seed = args.number("--seed")?.unwrap_or(0u64);
+    let (Some(input), Some(output)) = (args.positional(), args.positional()) else {
         return Err(format!(
             "convert takes an input and an output path\n\n{USAGE}"
         ));
-    }
-    let (input, output) = (PathBuf::from(args.remove(0)), PathBuf::from(args.remove(0)));
+    };
+    args.finish()?;
+    let (input, output) = (PathBuf::from(input), PathBuf::from(output));
     let open_input = || -> Result<BufReader<File>, String> {
         Ok(BufReader::new(File::open(&input).map_err(|e| {
             format!("cannot open {}: {e}", input.display())
@@ -299,7 +270,7 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
         }
         "ladt" => {
             let num_cores = match cores {
-                Some(v) => parse_number(&v, "--cores")?,
+                Some(cores) => cores,
                 None => scan_text_cores(open_input()?).map_err(|e| e.to_string())?,
             };
             let header = TraceHeader::new(num_cores, name, seed);

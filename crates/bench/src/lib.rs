@@ -26,7 +26,9 @@
 #![warn(missing_docs)]
 
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
+use lad_common::cli::Args;
 use lad_common::config::SystemConfig;
 use lad_common::json::JsonValue;
 use lad_replication::scheme::{SchemeId, UnknownScheme};
@@ -35,22 +37,27 @@ use lad_sim::metrics::SimulationReport;
 use lad_trace::benchmarks::Benchmark;
 use lad_trace::suite::BenchmarkSuite;
 
-/// Whether the binary was invoked with `--quick` (smoke-test scale).
-pub fn quick_mode() -> bool {
-    std::env::args().any(|arg| arg == "--quick")
+/// The harness flags, read from the command line once: `--quick`, and the
+/// path of `--json <path>`.  Flags the harness does not know are left for
+/// the binary, so a figure binary ignores them.
+fn harness_flags() -> &'static (bool, Option<PathBuf>) {
+    static FLAGS: OnceLock<(bool, Option<PathBuf>)> = OnceLock::new();
+    FLAGS.get_or_init(|| {
+        let mut args = Args::from_env();
+        let json = args.value("--json").unwrap_or_else(|err| exit_usage(&err));
+        (args.switch("--quick"), json.map(PathBuf::from))
+    })
 }
 
-/// The argument following the first `name` flag on the command line, if
-/// the flag is given.  Exits with status 2 when the flag is the last
-/// argument, with no value after it.
-pub fn flag_value(name: &str) -> Option<String> {
-    let mut args = std::env::args();
-    args.find(|arg| arg == name)?;
-    let Some(value) = args.next() else {
-        eprintln!("{name} requires a value");
-        std::process::exit(2);
-    };
-    Some(value)
+/// Prints a command-line error and exits with status 2.
+pub fn exit_usage(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2)
+}
+
+/// Whether the binary was invoked with `--quick` (smoke-test scale).
+pub fn quick_mode() -> bool {
+    harness_flags().0
 }
 
 /// The number in environment variable `name`; `None` when it is unset or
@@ -61,9 +68,10 @@ pub fn env_number(name: &str) -> Option<usize> {
         .and_then(|value| value.parse().ok())
 }
 
-/// The path given with `--json <path>`, if any.
+/// The path given with `--json <path>`, if any.  Exits with status 2 when
+/// the flag is the last argument, with no value after it.
 pub fn json_output_path() -> Option<PathBuf> {
-    flag_value("--json").map(PathBuf::from)
+    harness_flags().1.clone()
 }
 
 /// Fails fast on an unusable `--json` target: a missing path argument or an

@@ -166,3 +166,39 @@ fn cli_errors_are_reported_not_panicked() {
     let (ok, _, stderr) = lad_trace(&["replay", bogus.to_str().unwrap(), "--scheme", "BOGUS"]);
     assert!(!ok, "{stderr}");
 }
+
+/// Runs `exe` with `args` and returns its exit code and the first line it
+/// wrote to stderr.
+fn exit_and_first_stderr_line(exe: &str, args: &[&str]) -> (Option<i32>, String) {
+    let output = Command::new(exe)
+        .args(args)
+        .output()
+        .unwrap_or_else(|err| panic!("failed to spawn {exe}: {err}"));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    let first = stderr.lines().next().unwrap_or_default().to_string();
+    (output.status.code(), first)
+}
+
+#[test]
+fn usage_errors_keep_their_exit_codes_and_first_lines() {
+    let lad_trace = env!("CARGO_BIN_EXE_lad-trace");
+    assert_eq!(
+        exit_and_first_stderr_line(lad_trace, &[]),
+        (
+            Some(2),
+            "lad-trace: record, replay, inspect and convert LADT memory-access traces".into()
+        )
+    );
+    assert_eq!(
+        exit_and_first_stderr_line(lad_trace, &["transmogrify"]),
+        (
+            Some(1),
+            "lad-trace: unknown command \"transmogrify\"".into()
+        )
+    );
+    // A figure binary given a value flag with no value.
+    assert_eq!(
+        exit_and_first_stderr_line(env!("CARGO_BIN_EXE_table1_config"), &["--json"]),
+        (Some(2), "--json requires a value".into())
+    );
+}

@@ -16,7 +16,7 @@ use lad_common::config::CacheConfig;
 use lad_common::stats::Counter;
 use lad_common::types::CacheLine;
 
-use crate::replacement::{EvictionPriority, PlainLru, SharerAwareLru, SharerCount};
+use crate::replacement::{PlainLru, SharerAwareLru, SharerCount};
 use crate::set_assoc::SetAssocCache;
 
 /// Which victim-selection policy an LLC slice uses.
@@ -191,19 +191,6 @@ impl<V: SharerCount> LlcSlice<V> {
     /// Iterates mutably over resident `(line, entry)` pairs.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (CacheLine, &mut V)> {
         self.array.iter_mut()
-    }
-
-    /// Inserts with an arbitrary policy (used by unit tests and the
-    /// replacement-policy ablation study).
-    pub fn fill_with<P>(&mut self, line: CacheLine, entry: V, policy: &P) -> Option<(CacheLine, V)>
-    where
-        P: EvictionPriority<V> + ?Sized,
-    {
-        let evicted = self.array.insert(line, entry, policy);
-        if evicted.is_some() {
-            self.evictions.increment();
-        }
-        evicted
     }
 
     pub(crate) fn array(&self) -> &SetAssocCache<V> {

@@ -50,16 +50,6 @@ impl<V: SharerCount + ?Sized> EvictionPriority<V> for SharerAwareLru {
     }
 }
 
-/// A priority function supplied as a closure, for tests and ad-hoc policies.
-#[derive(Debug, Clone, Copy)]
-pub struct PriorityFn<F>(pub F);
-
-impl<V: ?Sized, F: Fn(&V) -> u64> EvictionPriority<V> for PriorityFn<F> {
-    fn priority(&self, entry: &V) -> u64 {
-        (self.0)(entry)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,11 +83,5 @@ mod tests {
         assert_eq!(p.priority(&Entry { sharers: 0 }), 0);
         assert_eq!(p.priority(&Entry { sharers: 3 }), 3);
         assert!(p.priority(&Entry { sharers: 1 }) < p.priority(&Entry { sharers: 2 }));
-    }
-
-    #[test]
-    fn priority_fn_adapter() {
-        let p = PriorityFn(|e: &Entry| 10 - e.sharers as u64);
-        assert_eq!(p.priority(&Entry { sharers: 4 }), 6);
     }
 }

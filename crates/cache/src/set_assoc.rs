@@ -1,9 +1,5 @@
 //! A generic set-associative cache array with pluggable victim selection.
 
-// The only `HashMap` here is the `to_map` diagnostics helper, whose
-// iteration order never feeds a report.  lad-lint: allow(hashmap)
-use std::collections::HashMap;
-
 use lad_common::types::CacheLine;
 
 use crate::replacement::EvictionPriority;
@@ -304,25 +300,6 @@ impl<V> SetAssocCache<V> {
         (resident, self.associativity)
     }
 
-    /// Lines resident in the same set as `line` (including `line` itself if
-    /// resident), most recently used last.
-    pub fn set_contents(&self, line: CacheLine) -> Vec<CacheLine> {
-        let base = self.set_base(line);
-        let mut ways: Vec<(u64, u64)> = (base..base + self.associativity)
-            .filter(|&slot| self.stamps[slot] != 0)
-            .map(|slot| (self.stamps[slot], self.tags[slot]))
-            .collect();
-        ways.sort_unstable();
-        ways.into_iter()
-            .map(|(_, tag)| CacheLine::from_index(tag))
-            .collect()
-    }
-
-    /// Collects the resident lines into a map (diagnostics / tests).
-    pub fn to_map(&self) -> HashMap<CacheLine, &V> {
-        self.iter().collect()
-    }
-
     /// Iterates over occupied slots as `(slot, tag, lru_stamp, value)` in
     /// slot order, for checkpointing.  Together with [`SetAssocCache::clock`]
     /// this captures the array exactly: replaying the tuples through
@@ -567,9 +544,6 @@ mod tests {
         for i in 0..6 {
             c.insert(line(i), i, &PlainLru);
         }
-        let map = c.to_map();
-        assert_eq!(map.len(), 6);
-        assert_eq!(map[&line(3)], &3);
         for (_, v) in c.iter_mut() {
             *v += 100;
         }
@@ -618,15 +592,5 @@ mod tests {
         let mut c: SetAssocCache<u8> = SetAssocCache::new(2, 2);
         c.restore_slot(0, 4, 5, 7);
         c.set_clock(3);
-    }
-
-    #[test]
-    fn set_contents_ordered_by_recency() {
-        let mut c = SetAssocCache::new(1, 3);
-        c.insert(line(1), (), &PlainLru);
-        c.insert(line(2), (), &PlainLru);
-        c.insert(line(3), (), &PlainLru);
-        c.get(line(1));
-        assert_eq!(c.set_contents(line(0)), vec![line(2), line(3), line(1)]);
     }
 }

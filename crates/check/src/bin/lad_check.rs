@@ -20,6 +20,7 @@ use std::process::ExitCode;
 use lad_check::explore::{explore, ExploreOptions};
 use lad_check::model::{Model, ModelConfig};
 use lad_check::mutation::{run_mutant, SEEDED_MUTANTS};
+use lad_common::cli::Args;
 use lad_replication::policy::SchemeRegistry;
 use lad_replication::scheme::SchemeId;
 
@@ -52,51 +53,33 @@ fn default_config_for(id: SchemeId) -> ModelConfig {
     config
 }
 
-fn parse_args(args: &[String]) -> Result<Cli, String> {
-    let mut cli = Cli {
-        all: false,
-        mutants: false,
-        scheme: None,
-        config: ModelConfig::default(),
-        sized_explicitly: false,
-        max_states: ExploreOptions::default().max_states,
-    };
-    let mut it = args.iter();
-    match it.next().map(String::as_str) {
+fn parse_args(mut args: Args) -> Result<Cli, String> {
+    match args.positional().as_deref() {
         Some("check") => {}
         Some(other) => return Err(format!("unknown command `{other}`\n{USAGE}")),
         None => return Err(USAGE.to_string()),
     }
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} requires a value\n{USAGE}"))
-        };
-        match arg.as_str() {
-            "--all" => cli.all = true,
-            "--mutants" => cli.mutants = true,
-            "--scheme" => {
-                cli.scheme = Some(SchemeId::parse(&value("--scheme")?));
-            }
-            "--cores" => {
-                cli.config.cores = parse_number(&value("--cores")?, "--cores")?;
-                cli.sized_explicitly = true;
-            }
-            "--lines" => {
-                cli.config.lines = parse_number(&value("--lines")?, "--lines")?;
-                cli.sized_explicitly = true;
-            }
-            "--pointers" => {
-                cli.config.ackwise_pointers = parse_number(&value("--pointers")?, "--pointers")?;
-                cli.sized_explicitly = true;
-            }
-            "--max-states" => {
-                cli.max_states = parse_number(&value("--max-states")?, "--max-states")?;
-            }
-            other => return Err(format!("unknown option `{other}`\n{USAGE}")),
+    let mut cli = Cli {
+        all: args.switch("--all"),
+        mutants: args.switch("--mutants"),
+        scheme: args.value("--scheme")?.map(|id| SchemeId::parse(&id)),
+        config: ModelConfig::default(),
+        sized_explicitly: false,
+        max_states: args
+            .number("--max-states")?
+            .unwrap_or(ExploreOptions::default().max_states),
+    };
+    for (flag, size) in [
+        ("--cores", &mut cli.config.cores),
+        ("--lines", &mut cli.config.lines),
+        ("--pointers", &mut cli.config.ackwise_pointers),
+    ] {
+        if let Some(value) = args.number(flag)? {
+            *size = value;
+            cli.sized_explicitly = true;
         }
     }
+    args.finish()?;
     let modes = usize::from(cli.all) + usize::from(cli.mutants) + usize::from(cli.scheme.is_some());
     if modes != 1 {
         return Err(format!(
@@ -107,11 +90,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         return Err("--cores, --lines and --pointers must be positive".to_string());
     }
     Ok(cli)
-}
-
-fn parse_number(text: &str, flag: &str) -> Result<usize, String> {
-    text.parse::<usize>()
-        .map_err(|_| format!("{flag} expects a number, got `{text}`"))
 }
 
 fn check_scheme(registry: &SchemeRegistry, id: SchemeId, cli: &Cli) -> Result<bool, String> {
@@ -160,7 +138,7 @@ fn known_ids(registry: &SchemeRegistry) -> String {
         .join(", ")
 }
 
-fn run(args: &[String]) -> Result<bool, String> {
+fn run(args: Args) -> Result<bool, String> {
     let cli = parse_args(args)?;
     let registry = SchemeRegistry::builtin();
 
@@ -208,8 +186,7 @@ fn run(args: &[String]) -> Result<bool, String> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    match run(Args::from_env().with_usage(USAGE)) {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => ExitCode::from(1),
         Err(message) => {

@@ -12,21 +12,19 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use lad_check::lint::lint_workspace;
+use lad_common::cli::Args;
 
-fn parse_root(args: &[String]) -> Result<PathBuf, String> {
-    match args {
-        [] => Ok(PathBuf::from(".")),
-        [flag, root] if flag == "--root" => Ok(PathBuf::from(root)),
-        _ => Err("usage: lad-lint [--root <workspace-root>]".to_string()),
-    }
-}
+const USAGE: &str = "usage: lad-lint [--root <workspace-root>]";
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let root = match parse_root(&args) {
-        Ok(root) => root,
-        Err(message) => {
-            eprintln!("lad-lint: {message}");
+    let mut args = Args::from_env();
+    let root = match args
+        .value("--root")
+        .and_then(|root| args.finish().map(|()| root))
+    {
+        Ok(root) => PathBuf::from(root.unwrap_or_else(|| ".".to_string())),
+        Err(_) => {
+            eprintln!("lad-lint: {USAGE}");
             return ExitCode::from(2);
         }
     };

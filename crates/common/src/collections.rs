@@ -1,4 +1,5 @@
-//! Deterministic fast hash maps for simulator hot paths.
+//! Deterministic fast hash maps for simulator hot paths, and the FNV-1a
+//! digest.
 //!
 //! `std`'s default `SipHash` is robust against adversarial keys but costs
 //! tens of cycles per lookup; the simulator hashes its own trusted keys
@@ -12,6 +13,10 @@
 //! same build.  Reports must still never depend on map iteration order —
 //! the repo-wide rule (see `lad-lint`) is that anything rendered into a
 //! report goes through an ordered structure or a commutative reduction.
+//!
+//! [`fnv1a`] is the FNV-1a 64 hash behind every stored digest: trace
+//! content digests, configuration fingerprints and the seals of durable
+//! files.  Those digests are persisted, so its output must never change.
 //
 // lad-lint: allow(hashmap) — this module exists to wrap HashMap with a
 // deterministic hasher; consumers are still linted.
@@ -101,6 +106,18 @@ pub type FastMap<K, V> = HashMap<K, V, FastBuildHasher>;
 
 /// A `HashSet` keyed by the deterministic [`FxHasher`].
 pub type FastSet<K> = HashSet<K, FastBuildHasher>;
+
+/// The FNV-1a 64 offset basis: the hash of no bytes, where every digest
+/// starts.
+pub const FNV1A_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues an FNV-1a 64 hash `hash` over `bytes`.
+pub fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+    bytes.iter().fold(hash, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME)
+    })
+}
 
 #[cfg(test)]
 mod tests {

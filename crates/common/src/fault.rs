@@ -23,8 +23,8 @@
 //!
 //! A disarmed injector (the default everywhere) is one `Option` check per
 //! operation — release builds with no plan pay nothing.  Plans are armed
-//! explicitly (server config, `lad-serve --fault-plan`, the
-//! `LAD_FAULT_PLAN` environment variable) and **never** implicitly.
+//! explicitly (server config, `lad-serve --fault-plan`) and **never**
+//! implicitly.
 
 use std::fmt;
 use std::io::{Read, Seek, SeekFrom, Write};

@@ -13,12 +13,15 @@
 //! * [`rng`] — a small deterministic random-number facade so that every
 //!   simulation and workload generator is reproducible from a seed.
 //! * [`collections`] — fixed-seed fast hash maps ([`collections::FastMap`])
-//!   for simulator hot paths where `SipHash` is too slow.
+//!   for simulator hot paths where `SipHash` is too slow, and the one
+//!   FNV-1a 64 ([`collections::fnv1a`]) behind every stored digest.
 //! * [`json`] — a dependency-free JSON document model (serializer + strict
 //!   parser) used for the machine-readable experiment reports.
 //! * [`workers`] — the one worker-count resolution chain (explicit override,
-//!   then `LAD_THREADS`, then a default) shared by every parallel entry
-//!   point.
+//!   then `LAD_THREADS`, then a default) and the one work-stealing pool
+//!   ([`workers::map_in_order`]) shared by every parallel entry point.
+//! * [`cli`] — the one command-line flag grammar ([`cli::Args`]) of every
+//!   binary.
 //! * [`fault`] — deterministic, seeded fault injection ([`fault::FaultPlan`],
 //!   [`fault::FaultInjector`], [`fault::FaultyRead`]/[`fault::FaultyWrite`])
 //!   used by the robustness torture suites; disarmed it costs one branch.
@@ -44,6 +47,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod collections;
 pub mod config;
 pub mod fault;

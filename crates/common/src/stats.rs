@@ -230,64 +230,6 @@ impl fmt::Debug for Histogram {
     }
 }
 
-/// Online mean/min/max/variance accumulator (Welford's algorithm).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RunningStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        RunningStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds a sample.
-    pub fn push(&mut self, value: f64) {
-        self.count += 1;
-        let delta = value - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (value - self.mean);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean (`None` if empty).
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.mean)
-    }
-
-    /// Population variance (`None` if empty).
-    pub fn variance(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.m2 / self.count as f64)
-    }
-
-    /// Smallest sample (`None` if empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest sample (`None` if empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-}
-
 /// Arithmetic mean of a slice (`None` if empty).
 pub fn mean(values: &[f64]) -> Option<f64> {
     if values.is_empty() {
@@ -438,21 +380,6 @@ mod tests {
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
         b.record(9);
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn running_stats() {
-        let mut s = RunningStats::new();
-        assert_eq!(s.mean(), None);
-        assert_eq!(s.min(), None);
-        for v in [2.0, 4.0, 6.0, 8.0] {
-            s.push(v);
-        }
-        assert_eq!(s.count(), 4);
-        assert!((s.mean().unwrap() - 5.0).abs() < 1e-12);
-        assert!((s.variance().unwrap() - 5.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(8.0));
     }
 
     #[test]

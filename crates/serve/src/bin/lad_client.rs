@@ -35,7 +35,8 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use lad_common::json::JsonValue;
+use lad_common::cli::Args;
+use lad_common::json::{field, Json, JsonValue};
 use lad_serve::client::{Client, RetryPolicy};
 use lad_serve::protocol::{JobSpec, SystemPreset, TraceSpec};
 
@@ -76,54 +77,17 @@ for use with `submit --stored`.";
 const POLL: Duration = Duration::from_millis(100);
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
+    let mut args = Args::from_env().with_usage(USAGE);
+    if args.switch("--help") || args.switch("-h") {
         println!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    match run(&mut args) {
+    match run(args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("lad-client: {message}");
             ExitCode::FAILURE
         }
-    }
-}
-
-/// Pulls the value of `--flag value` out of `args`, removing both tokens.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
-    let Some(index) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    if index + 1 >= args.len() {
-        return Err(format!("{flag} requires a value"));
-    }
-    let value = args.remove(index + 1);
-    args.remove(index);
-    Ok(Some(value))
-}
-
-/// Pulls a bare `--flag` out of `args`, reporting whether it was present.
-fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
-    match args.iter().position(|a| a == flag) {
-        Some(index) => {
-            args.remove(index);
-            true
-        }
-        None => false,
-    }
-}
-
-fn parse_number<T: std::str::FromStr>(value: &str, what: &str) -> Result<T, String> {
-    value
-        .parse()
-        .map_err(|_| format!("{what} must be a number, got {value:?}"))
-}
-
-fn no_leftovers(args: &[String]) -> Result<(), String> {
-    match args.first() {
-        Some(extra) => Err(format!("unexpected argument {extra:?}\n\n{USAGE}")),
-        None => Ok(()),
     }
 }
 
@@ -155,16 +119,17 @@ fn emit(response: &JsonValue, json_path: Option<&str>) -> Result<(), String> {
     Ok(())
 }
 
-fn run(args: &mut Vec<String>) -> Result<(), String> {
-    let addr = take_flag(args, "--addr")?.ok_or(format!("--addr is required\n\n{USAGE}"))?;
+fn run(mut args: Args) -> Result<(), String> {
+    let addr = args
+        .value("--addr")?
+        .ok_or(format!("--addr is required\n\n{USAGE}"))?;
     let mut policy = RetryPolicy::standard();
-    if let Some(value) = take_flag(args, "--retries")? {
-        policy.attempts = parse_number(&value, "--retries")?;
+    if let Some(attempts) = args.number("--retries")? {
+        policy.attempts = attempts;
     }
-    if args.is_empty() {
-        return Err(format!("missing command\n\n{USAGE}"));
-    }
-    let command = args.remove(0);
+    let command = args
+        .positional()
+        .ok_or(format!("missing command\n\n{USAGE}"))?;
     let mut client = Client::connect_with(&addr, policy)
         .map_err(|err| format!("cannot connect to {addr}: {err}"))?;
     match command.as_str() {
@@ -176,44 +141,45 @@ fn run(args: &mut Vec<String>) -> Result<(), String> {
         "cancel" => cmd_job_verb(args, |job| client.cancel(job)),
         "stats" => cmd_stats(&mut client, args),
         "health" => {
-            no_leftovers(args)?;
+            args.finish()?;
             emit(&client.health().map_err(|err| err.to_string())?, None)
         }
         "metrics" => cmd_metrics(&mut client, args),
         "watch" => cmd_watch(&addr, &mut client, args),
         "shutdown" => {
-            no_leftovers(args)?;
+            args.finish()?;
             emit(&client.shutdown().map_err(|err| err.to_string())?, None)
         }
         other => Err(format!("unknown command {other:?}\n\n{USAGE}")),
     }
 }
 
-fn cmd_upload(client: &mut Client, args: &mut Vec<String>) -> Result<(), String> {
-    if args.len() != 1 {
-        return Err(format!("upload takes exactly one <FILE.ladt>\n\n{USAGE}"));
-    }
-    let path = args.remove(0);
+/// The one positional argument of a command, with nothing left over.
+fn sole_positional(mut args: Args, what: &str) -> Result<String, String> {
+    let value = args.positional().ok_or(format!("{what}\n\n{USAGE}"))?;
+    args.finish()?;
+    Ok(value)
+}
+
+fn cmd_upload(client: &mut Client, args: Args) -> Result<(), String> {
+    let path = sole_positional(args, "upload takes exactly one <FILE.ladt>")?;
     let bytes = std::fs::read(&path).map_err(|err| format!("cannot read {path}: {err}"))?;
     emit(&client.upload(&bytes).map_err(|err| err.to_string())?, None)
 }
 
-fn cmd_submit(client: &mut Client, args: &mut Vec<String>) -> Result<(), String> {
-    let trace = trace_spec(args)?;
-    let mut schemes = Vec::new();
-    while let Some(scheme) = take_flag(args, "--scheme")? {
-        schemes.push(scheme);
-    }
+fn cmd_submit(client: &mut Client, mut args: Args) -> Result<(), String> {
+    let trace = trace_spec(&mut args)?;
+    let schemes = args.values("--scheme")?;
     if schemes.is_empty() {
         return Err(format!("submit needs at least one --scheme\n\n{USAGE}"));
     }
-    let system = match take_flag(args, "--system")? {
+    let system = match args.value("--system")? {
         Some(label) => SystemPreset::parse(&label).map_err(|err| err.to_string())?,
         None => SystemPreset::Paper,
     };
-    let wait = take_switch(args, "--wait");
-    let json_path = take_flag(args, "--json")?;
-    no_leftovers(args)?;
+    let wait = args.switch("--wait");
+    let json_path = args.value("--json")?;
+    args.finish()?;
 
     let spec = JobSpec {
         trace,
@@ -221,11 +187,8 @@ fn cmd_submit(client: &mut Client, args: &mut Vec<String>) -> Result<(), String>
         system,
     };
     let receipt = client.submit(&spec).map_err(|err| err.to_string())?;
-    let job = receipt
-        .get("job")
-        .and_then(JsonValue::as_str)
-        .ok_or("submit response is missing the job id")?
-        .to_string();
+    let job: String =
+        field(&receipt, "job").map_err(|_| "submit response is missing the job id")?;
     if wait {
         emit(
             &client.wait(&job, POLL).map_err(|err| err.to_string())?,
@@ -236,25 +199,21 @@ fn cmd_submit(client: &mut Client, args: &mut Vec<String>) -> Result<(), String>
     }
 }
 
-fn trace_spec(args: &mut Vec<String>) -> Result<TraceSpec, String> {
-    let file = take_flag(args, "--trace")?;
-    let stored = take_flag(args, "--stored")?;
-    let builtin = take_flag(args, "--builtin")?;
+fn trace_spec(args: &mut Args) -> Result<TraceSpec, String> {
+    let file = args.value("--trace")?;
+    let stored = args.value("--stored")?;
+    let builtin = args.value("--builtin")?;
     match (file, stored, builtin) {
         (Some(path), None, None) => Ok(TraceSpec::File { path: path.into() }),
         (None, Some(digest), None) => Ok(TraceSpec::Stored { digest }),
         (None, None, Some(benchmark)) => {
-            let cores = take_flag(args, "--cores")?
-                .ok_or("--builtin requires --cores")
-                .and_then(|v| parse_number(&v, "--cores").map_err(|_| "--cores must be a number"))
-                .map_err(str::to_string)?;
-            let accesses = take_flag(args, "--accesses")?
-                .ok_or("--builtin requires --accesses".to_string())
-                .and_then(|v| parse_number(&v, "--accesses"))?;
-            let seed = match take_flag(args, "--seed")? {
-                Some(v) => parse_number(&v, "--seed")?,
-                None => 0,
-            };
+            let cores = args
+                .number("--cores")?
+                .ok_or("--builtin requires --cores")?;
+            let accesses = args
+                .number("--accesses")?
+                .ok_or("--builtin requires --accesses")?;
+            let seed = args.number("--seed")?.unwrap_or(0);
             Ok(TraceSpec::Builtin {
                 benchmark,
                 cores,
@@ -269,13 +228,10 @@ fn trace_spec(args: &mut Vec<String>) -> Result<TraceSpec, String> {
 }
 
 fn cmd_job_verb(
-    args: &mut Vec<String>,
+    args: Args,
     call: impl FnOnce(&str) -> Result<JsonValue, lad_serve::client::ClientError>,
 ) -> Result<(), String> {
-    if args.len() != 1 {
-        return Err(format!("this command takes exactly one <JOB>\n\n{USAGE}"));
-    }
-    let job = args.remove(0);
+    let job = sole_positional(args, "this command takes exactly one <JOB>")?;
     emit(&call(&job).map_err(|err| err.to_string())?, None)
 }
 
@@ -283,39 +239,35 @@ fn cmd_job_verb(
 /// an operator scans for — queue pressure, cache mode (loud when
 /// degraded) and reaped connections — before the raw JSON frame that
 /// scripts parse.
-fn cmd_stats(client: &mut Client, args: &[String]) -> Result<(), String> {
-    no_leftovers(args)?;
+fn cmd_stats(client: &mut Client, args: Args) -> Result<(), String> {
+    args.finish()?;
     let stats = client.stats().map_err(|err| err.to_string())?;
     print_stdout(&format!("{}\n", stats_summary(&stats)));
     emit(&stats, None)
 }
 
+/// Reads the field at a nested object path; `None` when a step is missing
+/// or the field has another type.
+fn nested<T: Json>(value: &JsonValue, path: &[&str]) -> Option<T> {
+    let (name, parents) = path.split_last()?;
+    let object = parents
+        .iter()
+        .try_fold(value, |cursor, key| cursor.get(key))?;
+    field(object, name).ok()
+}
+
 /// Reads a `u64` at a nested object path, defaulting to 0.
 fn field_u64(value: &JsonValue, path: &[&str]) -> u64 {
-    let mut cursor = value;
-    for key in path {
-        match cursor.get(key) {
-            Some(next) => cursor = next,
-            None => return 0,
-        }
-    }
-    cursor.as_u64().unwrap_or(0)
+    nested(value, path).unwrap_or(0)
 }
 
 /// Reads a string at a nested object path, defaulting to `"?"`.
-fn field_str<'a>(value: &'a JsonValue, path: &[&str]) -> &'a str {
-    let mut cursor = value;
-    for key in path {
-        match cursor.get(key) {
-            Some(next) => cursor = next,
-            None => return "?",
-        }
-    }
-    cursor.as_str().unwrap_or("?")
+fn field_str(value: &JsonValue, path: &[&str]) -> String {
+    nested(value, path).unwrap_or_else(|| "?".to_string())
 }
 
 fn stats_summary(stats: &JsonValue) -> String {
-    let mode = match field_str(stats, &["cache", "mode"]) {
+    let mode = match field_str(stats, &["cache", "mode"]).as_str() {
         "degraded" => "DEGRADED (memory-only after disk errors)".to_string(),
         other => other.to_string(),
     };
@@ -342,10 +294,10 @@ fn stats_summary(stats: &JsonValue) -> String {
     )
 }
 
-fn cmd_metrics(client: &mut Client, args: &mut Vec<String>) -> Result<(), String> {
-    let prometheus = take_switch(args, "--prometheus");
-    let json_path = take_flag(args, "--json")?;
-    no_leftovers(args)?;
+fn cmd_metrics(client: &mut Client, mut args: Args) -> Result<(), String> {
+    let prometheus = args.switch("--prometheus");
+    let json_path = args.value("--json")?;
+    args.finish()?;
     let response = client.metrics().map_err(|err| err.to_string())?;
     if prometheus {
         let text = response
@@ -366,16 +318,10 @@ fn cmd_metrics(client: &mut Client, args: &mut Vec<String>) -> Result<(), String
 /// `watch`: polls `stats` + `metrics` and redraws a one-screen live view
 /// every `--interval` ms (default 1000), forever or exactly `--count`
 /// times.
-fn cmd_watch(addr: &str, client: &mut Client, args: &mut Vec<String>) -> Result<(), String> {
-    let interval = match take_flag(args, "--interval")? {
-        Some(value) => Duration::from_millis(parse_number(&value, "--interval")?),
-        None => Duration::from_millis(1000),
-    };
-    let count: u64 = match take_flag(args, "--count")? {
-        Some(value) => parse_number(&value, "--count")?,
-        None => 0,
-    };
-    no_leftovers(args)?;
+fn cmd_watch(addr: &str, client: &mut Client, mut args: Args) -> Result<(), String> {
+    let interval = Duration::from_millis(args.number("--interval")?.unwrap_or(1000));
+    let count: u64 = args.number("--count")?.unwrap_or(0);
+    args.finish()?;
     let mut drawn = 0u64;
     loop {
         let stats = client.stats().map_err(|err| err.to_string())?;
@@ -492,14 +438,11 @@ fn watch_screen(addr: &str, stats: &JsonValue, metrics: &JsonValue, interval: Du
 }
 
 fn cmd_job_verb_json(
-    args: &mut Vec<String>,
+    mut args: Args,
     call: impl FnOnce(&str) -> Result<JsonValue, lad_serve::client::ClientError>,
 ) -> Result<(), String> {
-    let json_path = take_flag(args, "--json")?;
-    if args.len() != 1 {
-        return Err(format!("this command takes exactly one <JOB>\n\n{USAGE}"));
-    }
-    let job = args.remove(0);
+    let json_path = args.value("--json")?;
+    let job = sole_positional(args, "this command takes exactly one <JOB>")?;
     emit(
         &call(&job).map_err(|err| err.to_string())?,
         json_path.as_deref(),

@@ -11,8 +11,7 @@
 //! sends the `shutdown` verb; in-flight cells checkpoint on the way down
 //! so a restart over the same `--data-dir` resumes them.
 //!
-//! `--fault-plan` (or the `LAD_FAULT_PLAN` environment variable) arms the
-//! deterministic fault injector for robustness testing — see
+//! `--fault-plan` arms the deterministic fault injector for robustness testing — see
 //! [`lad_common::fault::FaultPlan`] for the plan grammar
 //! (`site:occurrence:kind[;...]` or `random:<seed>`).
 
@@ -20,6 +19,7 @@ use std::io::Write;
 use std::process::ExitCode;
 use std::time::Duration;
 
+use lad_common::cli::Args;
 use lad_common::fault::{FaultInjector, FaultPlan};
 use lad_serve::server::{self, ServerConfig};
 
@@ -35,17 +35,17 @@ Durable state (result cache, checkpoints, uploaded traces) lives under
 --data-dir; restarting over the same directory keeps cached results and
 resumes checkpointed cells.  Stop the daemon with `lad-client shutdown`.
 
---fault-plan (or env LAD_FAULT_PLAN) arms the deterministic fault
-injector for robustness testing.  PLAN is `site:occurrence:kind[;...]`
+--fault-plan arms the deterministic fault injector for robustness
+testing.  PLAN is `site:occurrence:kind[;...]`
 (e.g. `conn-write:3:drop;cache-spill:1:enospc`) or `random:<seed>`.";
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
+    let mut args = Args::from_env().with_usage(USAGE);
+    if args.switch("--help") || args.switch("-h") {
         println!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    match run(&args) {
+    match run(args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("lad-serve: {message}");
@@ -54,59 +54,32 @@ fn main() -> ExitCode {
     }
 }
 
-/// Pulls the value of `--flag value` out of `args`, removing both tokens.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
-    let Some(index) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    if index + 1 >= args.len() {
-        return Err(format!("{flag} requires a value"));
-    }
-    let value = args.remove(index + 1);
-    args.remove(index);
-    Ok(Some(value))
-}
-
-fn parse_number<T: std::str::FromStr>(value: &str, what: &str) -> Result<T, String> {
-    value
-        .parse()
-        .map_err(|_| format!("{what} must be a number, got {value:?}"))
-}
-
-fn run(args: &[String]) -> Result<(), String> {
-    let mut args = args.to_vec();
-    let data_dir =
-        take_flag(&mut args, "--data-dir")?.ok_or(format!("--data-dir is required\n\n{USAGE}"))?;
+fn run(mut args: Args) -> Result<(), String> {
+    let data_dir = args
+        .value("--data-dir")?
+        .ok_or(format!("--data-dir is required\n\n{USAGE}"))?;
     let mut config = ServerConfig::new(data_dir);
-    if let Some(addr) = take_flag(&mut args, "--addr")? {
+    if let Some(addr) = args.value("--addr")? {
         config.addr = addr;
     }
-    if let Some(value) = take_flag(&mut args, "--workers")? {
-        config.workers = parse_number(&value, "--workers")?;
+    if let Some(workers) = args.number("--workers")? {
+        config.workers = workers;
     }
-    if let Some(value) = take_flag(&mut args, "--queue-limit")? {
-        config.queue_limit = parse_number(&value, "--queue-limit")?;
+    if let Some(limit) = args.number("--queue-limit")? {
+        config.queue_limit = limit;
     }
-    if let Some(value) = take_flag(&mut args, "--checkpoint-interval")? {
-        config.checkpoint_interval = parse_number(&value, "--checkpoint-interval")?;
+    if let Some(interval) = args.number("--checkpoint-interval")? {
+        config.checkpoint_interval = interval;
     }
-    if let Some(value) = take_flag(&mut args, "--read-timeout-ms")? {
-        config.read_timeout = Duration::from_millis(parse_number(&value, "--read-timeout-ms")?);
+    if let Some(millis) = args.number("--read-timeout-ms")? {
+        config.read_timeout = Duration::from_millis(millis);
     }
-    let fault_plan = match take_flag(&mut args, "--fault-plan")? {
-        Some(value) => Some(value),
-        None => std::env::var("LAD_FAULT_PLAN")
-            .ok()
-            .filter(|v| !v.is_empty()),
-    };
-    if let Some(text) = fault_plan {
+    if let Some(text) = args.value("--fault-plan")? {
         let plan = FaultPlan::parse(&text).map_err(|err| format!("--fault-plan: {err}"))?;
         eprintln!("lad-serve: fault injector ARMED: {plan}");
         config.fault = FaultInjector::armed(plan);
     }
-    if let Some(extra) = args.first() {
-        return Err(format!("unexpected argument {extra:?}\n\n{USAGE}"));
-    }
+    args.finish()?;
     server::run(config, |addr| {
         println!("lad-serve listening on {addr}");
         let _ = std::io::stdout().flush();

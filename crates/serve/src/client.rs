@@ -25,7 +25,7 @@ use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use lad_common::json::JsonValue;
+use lad_common::json::{field, JsonValue};
 use lad_common::rng::DeterministicRng;
 
 use crate::protocol::{hex_encode, JobSpec};
@@ -300,28 +300,19 @@ impl Client {
         };
         let parsed = JsonValue::parse(response.trim())
             .map_err(|err| ClientError::Protocol(format!("unparseable response: {err}")))?;
-        match parsed.get("ok").and_then(JsonValue::as_bool) {
-            Some(true) => Ok(parsed),
-            Some(false) => {
-                let error = parsed.get("error");
-                let field = |name: &str| {
-                    error
-                        .and_then(|e| e.get(name))
-                        .and_then(JsonValue::as_str)
-                        .unwrap_or("unknown")
-                        .to_string()
-                };
+        match field::<bool>(&parsed, "ok") {
+            Ok(true) => Ok(parsed),
+            Ok(false) => {
+                let error = parsed.get("error").unwrap_or(&JsonValue::Null);
+                let text =
+                    |name: &str| field(error, name).unwrap_or_else(|_| "unknown".to_string());
                 Err(ClientError::Server {
-                    code: error
-                        .and_then(|e| e.get("code"))
-                        .and_then(JsonValue::as_u64)
-                        .and_then(|c| u16::try_from(c).ok())
-                        .unwrap_or(500),
-                    kind: field("kind"),
-                    message: field("message"),
+                    code: field(error, "code").unwrap_or(500),
+                    kind: text("kind"),
+                    message: text("message"),
                 })
             }
-            None => Err(ClientError::Protocol(
+            Err(_) => Err(ClientError::Protocol(
                 "response frame is missing \"ok\"".to_string(),
             )),
         }
@@ -390,9 +381,10 @@ impl Client {
     pub fn wait(&mut self, job: &str, poll: Duration) -> Result<JsonValue, ClientError> {
         loop {
             let status = self.status(job)?;
-            match status.get("state").and_then(JsonValue::as_str) {
-                Some("running") => std::thread::sleep(poll),
-                _ => return self.result(job),
+            if field::<String>(&status, "state").is_ok_and(|state| state == "running") {
+                std::thread::sleep(poll);
+            } else {
+                return self.result(job);
             }
         }
     }

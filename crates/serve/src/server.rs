@@ -19,8 +19,8 @@
 //! `std::thread::scope`, so a draining server joins everything).  Worker
 //! threads pull cells from a bounded queue guarded by a mutex + condvar —
 //! the same "one shared cursor, workers steal the next job" shape as
-//! [`ExperimentRunner::replay_file_matrix`](lad_sim::experiment::ExperimentRunner::replay_file_matrix),
-//! persistent across jobs instead of per-matrix.  Identical cells submitted
+//! [`map_in_order`](lad_common::workers::map_in_order), persistent across
+//! jobs instead of per-matrix.  Identical cells submitted
 //! concurrently are deduplicated *in flight*: later submissions subscribe
 //! to the running cell rather than enqueueing a copy, so N parallel
 //! submissions of the same job simulate once.
@@ -89,8 +89,8 @@ pub struct ServerConfig {
     pub frame_deadline: Duration,
     /// Maximum accepted `upload` body size in (decoded) bytes.
     pub max_upload_bytes: usize,
-    /// Fault-injection plan (disarmed by default — zero cost).  Armed via
-    /// `lad-serve --fault-plan` / `LAD_FAULT_PLAN` or directly by the
+    /// Fault-injection plan (disarmed by default — one branch per I/O
+    /// call).  Armed via `lad-serve --fault-plan` or directly by the
     /// torture harness; consulted at every I/O seam of the service.
     pub fault: FaultInjector,
 }
@@ -128,10 +128,25 @@ struct CellProgress {
     checkpointed: AtomicU64,
 }
 
+/// Where a cell's accesses come from, resolved from its [`TraceSpec`] at
+/// submit time.
+#[derive(Debug, Clone)]
+enum CellSource {
+    /// A trace file: a `file` spec's path or a stored upload.
+    File(PathBuf),
+    /// A generated builtin workload.
+    Builtin {
+        benchmark: Benchmark,
+        cores: usize,
+        accesses_per_core: usize,
+        seed: u64,
+    },
+}
+
 /// Everything a worker needs to execute one cell.
 #[derive(Debug, Clone)]
 struct CellSpec {
-    trace: TraceSpec,
+    source: CellSource,
     scheme: SchemeId,
     system: SystemConfig,
     benchmark: String,
@@ -160,6 +175,11 @@ enum CellState {
 }
 
 impl CellState {
+    /// Whether the cell is still queued or running.
+    fn is_pending(&self) -> bool {
+        matches!(self, CellState::Queued | CellState::Running)
+    }
+
     fn label(&self) -> &'static str {
         match self {
             CellState::Queued => "queued",
@@ -625,14 +645,9 @@ fn handle_frame(shared: &Shared, line: &str) -> Result<Reply, ServeError> {
     shared.metrics.frames_in.inc();
     let frame =
         JsonValue::parse(line.trim()).map_err(|err| ServeError::MalformedFrame(err.to_string()))?;
-    let verb = frame
-        .get("verb")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| {
-            ServeError::MalformedFrame(
-                "frame must be a JSON object with a \"verb\" string".to_string(),
-            )
-        })?;
+    let verb = field_with(&frame, "verb", text).map_err(|_| {
+        ServeError::MalformedFrame("frame must be a JSON object with a \"verb\" string".to_string())
+    })?;
     let started = Instant::now();
     let result = match verb {
         "upload" => verb_upload(shared, &frame),
@@ -652,11 +667,37 @@ fn handle_frame(shared: &Shared, line: &str) -> Result<Reply, ServeError> {
     result
 }
 
+/// A string field of a frame, borrowed.
+fn text(value: &JsonValue) -> Result<&str, String> {
+    value
+        .as_str()
+        .ok_or_else(|| "expected a string".to_string())
+}
+
 fn job_field(frame: &JsonValue) -> Result<&str, ServeError> {
-    frame
-        .get("job")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| ServeError::BadRequest("frame needs a \"job\" id string".to_string()))
+    field_with(frame, "job", text)
+        .map_err(|_| ServeError::BadRequest("frame needs a \"job\" id string".to_string()))
+}
+
+/// The job `job_id` names.
+fn find_job<'a>(
+    jobs: &'a mut BTreeMap<String, Job>,
+    job_id: &str,
+) -> Result<&'a mut Job, ServeError> {
+    jobs.get_mut(job_id)
+        .ok_or_else(|| ServeError::UnknownJob(job_id.to_string()))
+}
+
+/// The number of queued cells and of jobs with a cell still queued or
+/// running.
+fn queue_depth_and_active_jobs(shared: &Shared) -> (usize, usize) {
+    let state = shared.lock();
+    let active = state
+        .jobs
+        .values()
+        .filter(|job| job.cells.iter().any(|c| c.state.is_pending()))
+        .count();
+    (state.queue.len(), active)
 }
 
 // ---------------------------------------------------------------------------
@@ -667,10 +708,8 @@ fn verb_upload(shared: &Shared, frame: &JsonValue) -> Result<Reply, ServeError> 
     if shared.shutting_down.load(Ordering::SeqCst) {
         return Err(ServeError::ShuttingDown);
     }
-    let body = frame
-        .get("bytes")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| ServeError::BadRequest("upload needs a \"bytes\" hex string".to_string()))?;
+    let body = field_with(frame, "bytes", text)
+        .map_err(|_| ServeError::BadRequest("upload needs a \"bytes\" hex string".to_string()))?;
     if body.len() > shared.config.max_upload_bytes.saturating_mul(2) {
         return Err(ServeError::BadRequest(format!(
             "upload exceeds the {}-byte limit",
@@ -703,27 +742,29 @@ fn verb_upload(shared: &Shared, frame: &JsonValue) -> Result<Reply, ServeError> 
 }
 
 /// A trace spec resolved against the server's stores: its cache digest,
-/// canonical benchmark name and core count.
+/// canonical benchmark name, core count and where its cells read from.
 struct ResolvedTrace {
     digest: String,
     benchmark: String,
     cores: usize,
+    source: CellSource,
 }
 
 fn resolve_trace(shared: &Shared, spec: &TraceSpec) -> Result<ResolvedTrace, ServeError> {
-    let from_file = |path: &Path| -> Result<ResolvedTrace, ServeError> {
-        let digest = lad_traceio::digest::digest_file(path)
+    let from_file = |path: PathBuf| -> Result<ResolvedTrace, ServeError> {
+        let digest = lad_traceio::digest::digest_file(&path)
             .map_err(|err| ServeError::Replay(ReplayError::Trace(err)))?;
         let source =
-            FileSource::open(path).map_err(|err| ServeError::Replay(ReplayError::Trace(err)))?;
+            FileSource::open(&path).map_err(|err| ServeError::Replay(ReplayError::Trace(err)))?;
         Ok(ResolvedTrace {
             digest: digest.to_hex(),
             benchmark: source.name().to_string(),
             cores: source.num_cores(),
+            source: CellSource::File(path),
         })
     };
     match spec {
-        TraceSpec::File { path } => from_file(path),
+        TraceSpec::File { path } => from_file(path.clone()),
         TraceSpec::Stored { digest } => {
             let well_formed = digest.len() == 16 && digest.bytes().all(|b| b.is_ascii_hexdigit());
             if !well_formed {
@@ -735,7 +776,7 @@ fn resolve_trace(shared: &Shared, spec: &TraceSpec) -> Result<ResolvedTrace, Ser
             if !path.is_file() {
                 return Err(ServeError::UnknownTrace(digest.clone()));
             }
-            from_file(&path)
+            from_file(path)
         }
         TraceSpec::Builtin {
             benchmark,
@@ -756,6 +797,12 @@ fn resolve_trace(shared: &Shared, spec: &TraceSpec) -> Result<ResolvedTrace, Ser
                 digest: fingerprint_hex(fingerprint(&spec_text)),
                 benchmark: known.label().to_string(),
                 cores: *cores,
+                source: CellSource::Builtin {
+                    benchmark: known,
+                    cores: *cores,
+                    accesses_per_core: *accesses_per_core,
+                    seed: *seed,
+                },
             })
         }
     }
@@ -765,11 +812,9 @@ fn verb_submit(shared: &Shared, frame: &JsonValue) -> Result<Reply, ServeError> 
     if shared.shutting_down.load(Ordering::SeqCst) {
         return Err(ServeError::ShuttingDown);
     }
-    let spec = JobSpec::from_json(
-        frame
-            .get("job")
-            .ok_or_else(|| ServeError::BadRequest("submit needs a \"job\" object".to_string()))?,
-    )?;
+    let job = field_with(frame, "job", Ok)
+        .map_err(|_| ServeError::BadRequest("submit needs a \"job\" object".to_string()))?;
+    let spec = JobSpec::from_json(job)?;
     let mut schemes = Vec::with_capacity(spec.schemes.len());
     for label in &spec.schemes {
         let id = SchemeId::parse(label);
@@ -859,7 +904,7 @@ fn verb_submit(shared: &Shared, frame: &JsonValue) -> Result<Reply, ServeError> 
                     key.clone(),
                     PendingCell {
                         spec: CellSpec {
-                            trace: spec.trace.clone(),
+                            source: resolved.source.clone(),
                             scheme: *id,
                             system: system.clone(),
                             benchmark: resolved.benchmark.clone(),
@@ -900,11 +945,8 @@ fn verb_submit(shared: &Shared, frame: &JsonValue) -> Result<Reply, ServeError> 
 
 fn verb_status(shared: &Shared, frame: &JsonValue) -> Result<Reply, ServeError> {
     let job_id = job_field(frame)?;
-    let state = shared.lock();
-    let job = state
-        .jobs
-        .get(job_id)
-        .ok_or_else(|| ServeError::UnknownJob(job_id.to_string()))?;
+    let mut state = shared.lock();
+    let job = find_job(&mut state.jobs, job_id)?;
     let mut cells = Vec::with_capacity(job.cells.len());
     for cell in &job.cells {
         let done = cell.progress.done.load(Ordering::Relaxed);
@@ -961,16 +1003,9 @@ fn job_state(job: &Job) -> &'static str {
 
 fn verb_result(shared: &Shared, frame: &JsonValue) -> Result<Reply, ServeError> {
     let job_id = job_field(frame)?;
-    let state = shared.lock();
-    let job = state
-        .jobs
-        .get(job_id)
-        .ok_or_else(|| ServeError::UnknownJob(job_id.to_string()))?;
-    let remaining = job
-        .cells
-        .iter()
-        .filter(|c| matches!(c.state, CellState::Queued | CellState::Running))
-        .count();
+    let mut state = shared.lock();
+    let job = find_job(&mut state.jobs, job_id)?;
+    let remaining = job.cells.iter().filter(|c| c.state.is_pending()).count();
     if remaining > 0 {
         return Err(ServeError::NotFinished {
             job: job_id.to_string(),
@@ -1015,21 +1050,15 @@ fn verb_result(shared: &Shared, frame: &JsonValue) -> Result<Reply, ServeError> 
 }
 
 fn verb_cancel(shared: &Shared, frame: &JsonValue) -> Result<Reply, ServeError> {
-    let job_id = job_field(frame)?.to_string();
+    let job_id = job_field(frame)?;
     let mut state = shared.lock();
-    if !state.jobs.contains_key(&job_id) {
-        return Err(ServeError::UnknownJob(job_id));
-    }
     let State {
         jobs,
         queue,
         pending,
         ..
     } = &mut *state;
-    let job = match jobs.get_mut(&job_id) {
-        Some(job) => job,
-        None => unreachable!("checked above under the same lock"),
-    };
+    let job = find_job(jobs, job_id)?;
     let mut cancelled = 0usize;
     let mut finished = 0usize;
     for (index, cell) in job.cells.iter_mut().enumerate() {
@@ -1065,19 +1094,7 @@ fn verb_cancel(shared: &Shared, frame: &JsonValue) -> Result<Reply, ServeError> 
 }
 
 fn verb_stats(shared: &Shared) -> Result<Reply, ServeError> {
-    let (queue_depth, active_jobs) = {
-        let state = shared.lock();
-        let active = state
-            .jobs
-            .values()
-            .filter(|job| {
-                job.cells
-                    .iter()
-                    .any(|c| matches!(c.state, CellState::Queued | CellState::Running))
-            })
-            .count();
-        (state.queue.len(), active)
-    };
+    let (queue_depth, active_jobs) = queue_depth_and_active_jobs(shared);
     let stat = |counter: &Counter| JsonValue::from(counter.value());
     reply(JsonValue::object([
         ("ok", JsonValue::from(true)),
@@ -1183,19 +1200,7 @@ fn verb_health(shared: &Shared) -> Result<Reply, ServeError> {
 /// injector's fired-fault log.  Scrape-time gauges (queue depth, active
 /// jobs, cache entries and mode) are refreshed before the snapshot.
 fn verb_metrics(shared: &Shared) -> Result<Reply, ServeError> {
-    let (queue_depth, active_jobs) = {
-        let state = shared.lock();
-        let active = state
-            .jobs
-            .values()
-            .filter(|job| {
-                job.cells
-                    .iter()
-                    .any(|c| matches!(c.state, CellState::Queued | CellState::Running))
-            })
-            .count();
-        (state.queue.len(), active)
-    };
+    let (queue_depth, active_jobs) = queue_depth_and_active_jobs(shared);
     shared.metrics.queue_depth.set(queue_depth as i64);
     shared.metrics.jobs_active.set(active_jobs as i64);
     shared.metrics.cache_entries.set(shared.cache.len() as i64);
@@ -1385,37 +1390,24 @@ fn complete_cells(
     }
 }
 
-fn open_source(shared: &Shared, spec: &TraceSpec) -> Result<Box<dyn TraceSource>, String> {
-    // File-backed sources route reads through the injector only when a
-    // plan is armed, so the disarmed hot path stays a plain FileSource.
-    let open_file = |path: PathBuf| -> Result<Box<dyn TraceSource>, String> {
-        if shared.config.fault.is_armed() {
-            FaultyFileSource::open_faulty(&path, shared.config.fault.clone())
-                .map(|s| Box::new(s) as Box<dyn TraceSource>)
-                .map_err(|err| err.to_string())
-        } else {
-            FileSource::open(&path)
-                .map(|s| Box::new(s) as Box<dyn TraceSource>)
-                .map_err(|err| err.to_string())
-        }
-    };
-    match spec {
-        TraceSpec::File { path } => open_file(path.clone()),
-        TraceSpec::Stored { digest } => open_file(shared.trace_path(digest)),
-        TraceSpec::Builtin {
+/// Opens a cell's accesses.  Trace files read through the configured fault
+/// injector, which costs one branch per read when disarmed.
+fn open_source(shared: &Shared, source: &CellSource) -> Result<Box<dyn TraceSource>, String> {
+    match source {
+        CellSource::File(path) => FaultyFileSource::open_faulty(path, shared.config.fault.clone())
+            .map(|source| Box::new(source) as Box<dyn TraceSource>)
+            .map_err(|err| err.to_string()),
+        CellSource::Builtin {
             benchmark,
             cores,
             accesses_per_core,
             seed,
-        } => {
-            let known = Benchmark::parse(benchmark)?;
-            Ok(Box::new(GeneratorSource::new(
-                TraceGenerator::new(known.profile()),
-                *cores,
-                *accesses_per_core,
-                *seed,
-            )))
-        }
+        } => Ok(Box::new(GeneratorSource::new(
+            TraceGenerator::new(benchmark.profile()),
+            *cores,
+            *accesses_per_core,
+            *seed,
+        ))),
     }
 }
 
@@ -1465,7 +1457,7 @@ fn run_cell(shared: &Shared, item: &WorkItem) -> Result<CellOutcome, String> {
         .registry
         .get(item.spec.scheme)
         .map_err(|err| err.to_string())?;
-    let mut source = open_source(shared, &item.spec.trace)?;
+    let mut source = open_source(shared, &item.spec.source)?;
     let mut sim = Simulator::with_policy_and_energy_model(
         item.spec.system.clone(),
         entry.config.clone(),

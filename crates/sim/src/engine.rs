@@ -391,12 +391,6 @@ impl Simulator {
         self.obs = EngineMetrics::resolve(registry);
     }
 
-    /// Sets the seed for the simulator's internal randomness (ASR's
-    /// probabilistic replication); simulation is otherwise deterministic.
-    pub fn set_seed(&mut self, seed: u64) {
-        self.seed = seed;
-    }
-
     /// The system configuration.
     pub fn system(&self) -> &SystemConfig {
         &self.system

@@ -18,13 +18,13 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use lad_common::config::SystemConfig;
 use lad_common::json::{field, field_with, items, Json, JsonValue};
 use lad_common::stats::{geometric_mean, mean, normalized};
+use lad_common::workers::map_in_order;
 use lad_energy::model::EnergyModel;
 use lad_replication::config::ReplicationConfig;
 use lad_replication::policies::AsrPolicy;
@@ -43,7 +43,6 @@ use crate::metrics::SimulationReport;
 /// start to the moment a worker pulls the cell (cells sit in the shared
 /// queue from the start, so that *is* their wait); execution time is the
 /// cell's own wall clock.
-#[derive(Clone)]
 struct PoolMetrics {
     queue_wait: lad_obs::LatencyHistogram,
     exec: lad_obs::LatencyHistogram,
@@ -77,6 +76,19 @@ impl PoolMetrics {
                 "workers currently executing a cell",
             ),
         }
+    }
+
+    /// Runs one cell of a pool started at `pool_started`, recording its
+    /// queue wait, execution time and the busy-worker gauge around it.
+    fn record<R>(&self, pool_started: Instant, cell: impl FnOnce() -> R) -> R {
+        self.queue_wait.record_duration(pool_started.elapsed());
+        self.jobs.inc();
+        self.busy.inc();
+        let cell_started = Instant::now();
+        let result = cell();
+        self.exec.record_duration(cell_started.elapsed());
+        self.busy.dec();
+        result
     }
 }
 
@@ -178,12 +190,6 @@ impl ExperimentRunner {
         self
     }
 
-    /// Replaces the scheme registry (builder style).
-    pub fn with_registry(mut self, registry: SchemeRegistry) -> Self {
-        self.registry = registry;
-        self
-    }
-
     /// Registers a (typically out-of-crate) policy so the runner can sweep
     /// it by its [`SchemeId`].  `config` supplies the engine knobs the
     /// policy runs with; any previous entry under the same id is replaced.
@@ -210,7 +216,7 @@ impl ExperimentRunner {
     /// is spawned just to find the job queue already empty, and at least
     /// one worker even for an empty matrix.
     fn worker_threads(&self, job_count: usize) -> usize {
-        self.threads.min(job_count).max(1)
+        lad_common::workers::pool_size(self.threads, job_count)
     }
 
     /// Runs one benchmark under one ad-hoc configuration (bypassing the
@@ -316,60 +322,24 @@ impl ExperimentRunner {
             .flat_map(|path| schemes.iter().map(move |&scheme| (path, scheme)))
             .collect();
 
-        // Work stealing: every worker pulls the next unclaimed job index
-        // instead of owning a pre-cut chunk, so one slow trace cannot idle
-        // the other workers the way static `chunks()` partitioning did.
-        // Cells are tagged with their job index and merged in index order,
-        // so the result map and the reported error are identical no matter
-        // which worker ran which job.
-        let workers = self.worker_threads(jobs.len());
-        let next_job = AtomicUsize::new(0);
+        // Cells come back in job order, so the result map and the reported
+        // error are identical no matter which worker ran which job.
         let obs = PoolMetrics::resolve("replay_file_matrix");
         let pool_started = Instant::now();
-        type ReplayCell = Result<((String, SchemeId), SimulationReport), ReplayError>;
-        let mut collected: Vec<(usize, ReplayCell)> = Vec::with_capacity(jobs.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let runner = self;
-                    let jobs = &jobs;
-                    let next_job = &next_job;
-                    let obs = obs.clone();
-                    scope.spawn(move || {
-                        let mut cells: Vec<(usize, ReplayCell)> = Vec::new();
-                        loop {
-                            let index = next_job.fetch_add(1, Ordering::Relaxed);
-                            let Some((path, scheme)) = jobs.get(index) else {
-                                break;
-                            };
-                            obs.queue_wait.record_duration(pool_started.elapsed());
-                            obs.jobs.inc();
-                            obs.busy.inc();
-                            let cell_started = Instant::now();
-                            let cell = runner
-                                .replay_file(path, *scheme)
-                                .map(|report| ((report.benchmark.clone(), *scheme), report));
-                            obs.exec.record_duration(cell_started.elapsed());
-                            obs.busy.dec();
-                            cells.push((index, cell));
-                        }
-                        cells
-                    })
+        let collected = map_in_order(
+            self.worker_threads(jobs.len()),
+            &jobs,
+            |_, (path, scheme)| {
+                obs.record(pool_started, || {
+                    self.replay_file(path, *scheme)
+                        .map(|report| ((report.benchmark.clone(), *scheme), report))
                 })
-                .collect();
-            for handle in handles {
-                collected.extend(
-                    handle
-                        .join()
-                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
-                );
-            }
-        });
-        collected.sort_unstable_by_key(|(index, _)| *index);
+            },
+        );
 
         let mut results = BTreeMap::new();
         let mut first_error = None;
-        for (_, cell) in collected {
+        for cell in collected {
             match cell {
                 Ok((key, report)) => {
                     let benchmark = key.0.clone();
@@ -413,54 +383,23 @@ impl ExperimentRunner {
             .flat_map(|b| resolved.iter().map(move |(id, entry)| (*b, *id, *entry)))
             .collect();
 
-        // Same work-stealing scheme as `replay_file_matrix`: an atomic
-        // next-job index instead of static chunks, so an expensive
-        // (benchmark, scheme) cell never strands the rest of a chunk
-        // behind it.  Each cell is keyed by `(benchmark, scheme)` and every
-        // simulation is deterministic, so the BTreeMap is byte-identical
-        // however the jobs land on workers.
-        let workers = self.worker_threads(jobs.len());
-        let next_job = AtomicUsize::new(0);
+        // Each cell is keyed by `(benchmark, scheme)` and every simulation
+        // is deterministic, so the map is byte-identical however the jobs
+        // land on workers.
         let obs = PoolMetrics::resolve("run_matrix");
         let pool_started = Instant::now();
-        let mut results = BTreeMap::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let runner = self;
-                    let jobs = &jobs;
-                    let next_job = &next_job;
-                    let obs = obs.clone();
-                    scope.spawn(move || {
-                        let mut cells = Vec::new();
-                        loop {
-                            let index = next_job.fetch_add(1, Ordering::Relaxed);
-                            let Some((benchmark, id, entry)) = jobs.get(index) else {
-                                break;
-                            };
-                            obs.queue_wait.record_duration(pool_started.elapsed());
-                            obs.jobs.inc();
-                            obs.busy.inc();
-                            let cell_started = Instant::now();
-                            let report = runner.run_registered(*benchmark, entry);
-                            obs.exec.record_duration(cell_started.elapsed());
-                            obs.busy.dec();
-                            cells.push(((*benchmark, *id), report));
-                        }
-                        cells
-                    })
-                })
-                .collect();
-            for handle in handles {
-                let cells = handle
-                    .join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-                for (key, report) in cells {
-                    results.insert(key, report);
-                }
-            }
-        });
-        Ok(results)
+        let reports = map_in_order(
+            self.worker_threads(jobs.len()),
+            &jobs,
+            |_, (benchmark, _, entry)| {
+                obs.record(pool_started, || self.run_registered(*benchmark, entry))
+            },
+        );
+        Ok(jobs
+            .iter()
+            .map(|(benchmark, id, _)| (*benchmark, *id))
+            .zip(reports)
+            .collect())
     }
 
     /// The scheme ids of the paper's standard sweep: the four baselines
@@ -487,16 +426,13 @@ impl ExperimentRunner {
     ///
     /// # Panics
     ///
-    /// Panics if a custom registry (see
-    /// [`ExperimentRunner::with_registry`]) dropped one of the built-in
-    /// schemes of the sweep.
+    /// Panics if the runner's registry lacks a scheme of
+    /// [`ExperimentRunner::paper_sweep`]; the built-in registry every
+    /// runner starts from has them all.
     pub fn run_paper_comparison(&self) -> SchemeComparison {
         let results = match self.run_matrix(&Self::paper_sweep()) {
             Ok(results) => results,
-            Err(error) => panic!(
-                "the paper sweep must be registered \
-                 (is a custom registry missing built-ins?): {error}"
-            ),
+            Err(error) => panic!("the paper sweep must be registered: {error}"),
         };
         SchemeComparison::from_results(self.suite.benchmarks().to_vec(), results)
     }

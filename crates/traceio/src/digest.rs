@@ -16,23 +16,12 @@
 use std::io::{Read, Seek};
 use std::path::Path;
 
+use lad_common::collections::{fnv1a, FNV1A_OFFSET_BASIS};
 use lad_common::types::{MemOp, MemoryAccess};
 use lad_trace::generator::WorkloadTrace;
 
 use crate::error::TraceError;
 use crate::source::{ReaderSource, TraceSource};
-
-const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    let mut hash = hash;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
 
 /// A 64-bit content digest of a trace.
 ///
@@ -82,12 +71,12 @@ impl DigestBuilder {
     /// Starts a digest over a trace of `num_cores` cores labelled
     /// `benchmark`.
     pub fn new(num_cores: usize, benchmark: &str) -> Self {
-        let mut header = fnv1a(FNV_OFFSET_BASIS, &(num_cores as u64).to_le_bytes());
+        let mut header = fnv1a(FNV1A_OFFSET_BASIS, &(num_cores as u64).to_le_bytes());
         header = fnv1a(header, &(benchmark.len() as u64).to_le_bytes());
         header = fnv1a(header, benchmark.as_bytes());
         DigestBuilder {
             header,
-            lanes: vec![FNV_OFFSET_BASIS; num_cores],
+            lanes: vec![FNV1A_OFFSET_BASIS; num_cores],
             counts: vec![0; num_cores],
         }
     }
